@@ -510,14 +510,12 @@ func BenchmarkAblation_CoreVsTruss(b *testing.B) {
 
 // --- Indexfile restart path --------------------------------------------------
 
-// BenchmarkIndexfileOpen measures the three ways a process can get an XL
+// BenchmarkIndexfileOpen measures the two ways a process can get an XL
 // graph's index back after a restart: mapping the immutable indexfile
-// (the v2 snapshot path — open cost is preamble validation only, pages
-// fault in lazily), rebuilding the index heap structures from an
-// already-decomposed result, and the full v1 restart — read the legacy
-// snapshot, replay its WAL through dynamic maintenance, and rebuild the
-// index. CI gates open against replay-v1 at >= 10x via benchjson
-// -speedup: the warm-restart claim this PR makes, kept honest by the
+// (the snapshot path — open cost is preamble validation only, pages
+// fault in lazily) and rebuilding the index heap structures from an
+// already-decomposed result. CI gates open against build at >= 10x via
+// benchjson -speedup: the warm-restart claim, kept honest by the
 // numbers.
 func BenchmarkIndexfileOpen(b *testing.B) {
 	xl := gen.CachedBuild("bench/XL", gen.XLDataset())
@@ -528,25 +526,6 @@ func BenchmarkIndexfileOpen(b *testing.B) {
 	tixPath := filepath.Join(dir, "index.tix")
 	if err := truss.WriteIndexFile(tixPath, ix, "bench"); err != nil {
 		b.Fatal(err)
-	}
-
-	// Fabricate the pre-migration layout: a legacy snapshot plus a short
-	// WAL — exactly what a crashed v1 server left behind. The mutation
-	// batches are tiny (a fresh triangle off to the side), so replay-v1's
-	// cost is the part the format retires: decoding the snapshot into
-	// heap structures and rebuilding the index.
-	st, err := server.NewStore(filepath.Join(dir, "v1"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.SaveSnapshot("xl", "bench", 1, res.G, res.Phi, res.KMax); err != nil {
-		b.Fatal(err)
-	}
-	n := uint32(res.G.NumVertices())
-	for i, add := range []truss.Edge{{U: n, V: n + 1}, {U: n + 1, V: n + 2}, {U: n, V: n + 2}} {
-		if _, err := st.AppendMutation("xl", uint64(i+2), []graph.Edge{add}, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 
 	b.Run("open", func(b *testing.B) {
@@ -564,28 +543,6 @@ func BenchmarkIndexfileOpen(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if truss.BuildIndex(res).KMax() == 0 {
-				b.Fatal("kmax 0")
-			}
-		}
-	})
-	b.Run("replay-v1", func(b *testing.B) {
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			graphs, broken, err := st.LoadAll()
-			if err != nil || len(broken) != 0 || len(graphs) != 1 {
-				b.Fatalf("LoadAll: %v (broken %v, %d graphs)", err, broken, len(graphs))
-			}
-			pg := graphs[0]
-			g, phi, kmax := pg.G, pg.Phi, pg.KMax
-			for _, mut := range pg.Mutations {
-				r, err := dynamic.Update(ctx, g, phi,
-					dynamic.Batch{Adds: mut.Adds, Dels: mut.Dels}, dynamic.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				g, phi, kmax = r.G, r.Phi, r.KMax
-			}
-			if truss.BuildIndex(&core.Result{G: g, Phi: phi, KMax: kmax}).KMax() == 0 {
 				b.Fatal("kmax 0")
 			}
 		}

@@ -290,9 +290,6 @@ func TestServeDurableRestart(t *testing.T) {
 	if got := metricValue(addr, `truss_restart_path_total{path="v2-open"}`); got != "1" {
 		t.Fatalf(`restart_path{v2-open} = %q, want "1"`, got)
 	}
-	if got := metricValue(addr, `truss_snapshot_format_version{graph="g"}`); got != "2" {
-		t.Fatalf(`snapshot_format_version{g} = %q, want "2"`, got)
-	}
 	if got := metricValue(addr, "truss_indexfile_mapped_bytes"); got == "" || got == "0" {
 		t.Fatalf("truss_indexfile_mapped_bytes = %q, want > 0", got)
 	}

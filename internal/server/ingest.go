@@ -6,19 +6,10 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/ingest"
 )
-
-// dynConfig assembles the dynamic.Update configuration every maintenance
-// site shares (mutation flushes and WAL replay during recovery).
-func (s *Server) dynConfig() dynamic.Config {
-	return dynamic.Config{
-		MaxRegionFraction:    s.opts.MaxRegionFraction,
-		Workers:              s.opts.Workers,
-		ParallelRegionCutoff: s.opts.ParallelRegionCutoff,
-	}
-}
 
 // flushOutcome is the server's payload on each ingest.Applied: the entry
 // the flush published (or left in place) and the maintenance result the
@@ -55,11 +46,11 @@ func (s *Server) pipeline(name string) (*ingest.Pipeline, error) {
 }
 
 // applyFlush group-commits one coalesced flush: it runs on the graph's
-// flusher goroutine, under the name lock, and does for the whole flush
-// what the per-request path used to do per mutation — one
-// dynamic.Update, one index Patch, one WAL append + fsync, one install.
-// Producers are woken with the published version, so durability still
-// precedes visibility and versions stay monotonic per graph.
+// flusher goroutine, under the name lock, and commits the whole flush as
+// one batch — one dynamic.Update, one index Patch, one WAL append +
+// fsync, one install. Producers are woken with the published version,
+// so durability still precedes visibility and versions stay monotonic
+// per graph.
 func (s *Server) applyFlush(name string, muts []ingest.Mutation) (ingest.Applied, error) {
 	lock := s.lockName(name)
 	defer s.unlockName(name, lock)
@@ -86,35 +77,60 @@ func (s *Server) applyFlush(name string, muts []ingest.Mutation) (ingest.Applied
 		}, nil
 	}
 	start := time.Now()
-	res, err := dynamic.Update(s.baseCtx, g, e.Index.PhiView(),
-		dynamic.Batch{Adds: adds, Dels: dels}, s.dynConfig())
+	ne, res, err := s.commit(s.baseCtx, e, e.Version+1, adds, dels, false)
 	if err != nil {
 		return ingest.Applied{}, err
+	}
+	s.logf("graph %q mutated to version %d: flush of %d coalesced to +%d -%d edges, m=%d kmax=%d, %s (region=%d fallback=%v parallel=%d)",
+		name, ne.Version, len(muts), len(adds), len(dels), res.G.NumEdges(), res.KMax,
+		time.Since(start).Round(time.Microsecond), res.Stats.Region, res.Stats.FellBack, res.Stats.ParallelPeels)
+	return ingest.Applied{
+		Version: ne.Version,
+		Adds:    len(adds),
+		Dels:    len(dels),
+		Payload: &flushOutcome{entry: ne, res: res},
+	}, nil
+}
+
+// commit is the one routine that applies a mutation batch to a graph:
+// dynamic.Update, copy-on-write Patch, WAL append, maintenance counters,
+// and a seq-guarded install of the successor of e at version. Local
+// flushes, replicated records and WAL replay all commit through it, so
+// a primary, a follower and a restart count the same maintenance for
+// the same batch. replay marks records that are already durable: they
+// are not appended again, trigger no compaction, and are not installed
+// one by one — Recover publishes only the last successor, so no
+// superseded index stays reachable from the registry while the next
+// batch allocates. Callers hold the name lock, or run before serving.
+func (s *Server) commit(ctx context.Context, e *Entry, version uint64, adds, dels []graph.Edge, replay bool) (*Entry, *dynamic.Result, error) {
+	start := time.Now()
+	res, err := dynamic.Update(ctx, e.Index.Graph(), e.Index.PhiView(),
+		dynamic.Batch{Adds: adds, Dels: dels},
+		dynamic.Config{
+			MaxRegionFraction:    s.opts.MaxRegionFraction,
+			Workers:              s.opts.Workers,
+			ParallelRegionCutoff: s.opts.ParallelRegionCutoff,
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	// Patch before the WAL append: the patched index is pure compute (a
 	// copy-on-write overlay, safe even when e.Index serves off an mmap'd
 	// snapshot), and having it in hand lets a triggered compaction
 	// persist the exact index being published.
 	patched := e.Index.Patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed)
-	version := e.Version + 1
-	if s.store != nil {
+	compact := false
+	if !replay && s.store != nil {
 		// Durability before visibility: if the WAL append fails the whole
-		// flush is rejected, so disk never lags memory. One record, one
-		// fsync, for every mutation in the flush — the group commit.
-		walBytes, err := s.store.AppendMutation(name, version, adds, dels)
+		// batch is rejected, so disk never lags memory. One record, one
+		// fsync, for every mutation in the batch — the group commit.
+		walBytes, err := s.store.AppendMutation(e.Name, version, adds, dels)
 		if err != nil {
-			return ingest.Applied{}, fmt.Errorf("graph %q: mutation rejected, WAL append failed: %w", name, err)
+			return nil, nil, fmt.Errorf("graph %q: batch rejected, WAL append failed: %w", e.Name, err)
 		}
 		s.metrics.walAppends.Inc()
-		s.metrics.walSize(name).Set(walBytes)
-		defer func() {
-			// Compaction is scheduled after the install below so the
-			// registry already carries the snapshot's version; it runs off
-			// this goroutine — the flush critical path pays nothing.
-			if walBytes >= s.opts.walCompactBytes() {
-				s.scheduleCompaction(name, e.Source, version, e.Epoch, patched)
-			}
-		}()
+		s.metrics.walSize(e.Name).Set(walBytes)
+		compact = walBytes >= s.opts.walCompactBytes()
 	}
 	s.metrics.maints.Inc()
 	s.metrics.maintDur.ObserveSince(start)
@@ -125,7 +141,7 @@ func (s *Server) applyFlush(name string, muts []ingest.Mutation) (ingest.Applied
 	}
 	s.metrics.maintParallel.Add(int64(res.Stats.ParallelPeels))
 	ne := &Entry{
-		Name:      name,
+		Name:      e.Name,
 		State:     StateReady,
 		Index:     patched,
 		Source:    e.Source,
@@ -134,22 +150,23 @@ func (s *Server) applyFlush(name string, muts []ingest.Mutation) (ingest.Applied
 		Epoch:     e.Epoch,
 		Version:   version,
 	}
-	// Install under the sequence of the entry the flush was computed
+	if replay {
+		return ne, res, nil
+	}
+	// Install under the sequence of the entry the batch was computed
 	// from: if a rebuild claimed a newer sequence meanwhile, this install
 	// is rejected instead of overwriting the rebuilt decomposition (the
 	// rebuild's own snapshot will truncate the orphan WAL record).
-	if !s.install(name, ne, e.seq) {
-		return ingest.Applied{}, fmt.Errorf("graph %q: mutation superseded by a concurrent rebuild", name)
+	if !s.install(e.Name, ne, e.seq) {
+		return nil, nil, fmt.Errorf("graph %q: batch superseded by a concurrent install", e.Name)
 	}
-	s.logf("graph %q mutated to version %d: flush of %d coalesced to +%d -%d edges, m=%d kmax=%d, %s (region=%d fallback=%v parallel=%d)",
-		name, version, len(muts), len(adds), len(dels), res.G.NumEdges(), res.KMax,
-		time.Since(start).Round(time.Microsecond), res.Stats.Region, res.Stats.FellBack, res.Stats.ParallelPeels)
-	return ingest.Applied{
-		Version: version,
-		Adds:    len(adds),
-		Dels:    len(dels),
-		Payload: &flushOutcome{entry: ne, res: res},
-	}, nil
+	// Compaction is scheduled after the install so the registry already
+	// carries the snapshot's version; it runs off this goroutine — the
+	// commit critical path pays nothing.
+	if compact {
+		s.scheduleCompaction(e.Name, e.Source, version, e.Epoch, patched)
+	}
+	return ne, res, nil
 }
 
 // scheduleCompaction starts an asynchronous WAL compaction for name at
@@ -224,7 +241,6 @@ func (s *Server) compact(name, source string, version uint64, epoch int, ix *ind
 	}
 	s.metrics.snapSaves.Inc()
 	s.metrics.snapDur.ObserveSince(start)
-	s.metrics.snapFormat(name).Set(SnapshotFormatV2)
 	snapL.Unlock()
 
 	lock := s.lockName(name)

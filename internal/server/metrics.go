@@ -64,7 +64,6 @@ type serverMetrics struct {
 	ixMapped        *obs.Gauge
 	restartV2Open   *obs.Counter
 	restartV2Replay *obs.Counter
-	restartV1Replay *obs.Counter
 
 	// Replication, primary side: live WAL tails, records streamed to
 	// followers, hydrations served, resync signals sent.
@@ -77,6 +76,10 @@ type serverMetrics struct {
 	// Registry state.
 	graphsReady *obs.Gauge
 }
+
+// restartPathHelp documents truss_restart_path_total's two series.
+const restartPathHelp = "Recovered graphs by restart path: v2-open serves the mapped snapshot directly, " +
+	"v2-replay patches WAL batches over it."
 
 // routeKey identifies one (route, status) request-counter series.
 type routeKey struct {
@@ -130,18 +133,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Time to open (map + validate) an index snapshot at recovery.", nil),
 		ixMapped: reg.Gauge("truss_indexfile_mapped_bytes",
 			"Bytes of index snapshots currently memory-mapped and serving."),
-		restartV2Open: reg.Counter("truss_restart_path_total",
-			"Recovered graphs by restart path: v2-open serves the mapped snapshot directly, "+
-				"v2-replay patches WAL batches over it, v1-replay rebuilds from a legacy snapshot (then migrates).",
-			"path", "v2-open"),
-		restartV2Replay: reg.Counter("truss_restart_path_total",
-			"Recovered graphs by restart path: v2-open serves the mapped snapshot directly, "+
-				"v2-replay patches WAL batches over it, v1-replay rebuilds from a legacy snapshot (then migrates).",
-			"path", "v2-replay"),
-		restartV1Replay: reg.Counter("truss_restart_path_total",
-			"Recovered graphs by restart path: v2-open serves the mapped snapshot directly, "+
-				"v2-replay patches WAL batches over it, v1-replay rebuilds from a legacy snapshot (then migrates).",
-			"path", "v1-replay"),
+		restartV2Open:   reg.Counter("truss_restart_path_total", restartPathHelp, "path", "v2-open"),
+		restartV2Replay: reg.Counter("truss_restart_path_total", restartPathHelp, "path", "v2-replay"),
 
 		replTails: reg.Gauge("truss_replication_tails_active",
 			"WAL tail streams currently held open by followers."),
@@ -208,11 +201,4 @@ func codeLabel(code int) string {
 // names, never by request input.
 func (m *serverMetrics) walSize(name string) *obs.Gauge {
 	return m.reg.Gauge("truss_wal_size_bytes", "Current WAL size per graph, reset by compaction.", "graph", name)
-}
-
-// snapFormat returns the per-graph snapshot-format gauge (1 = legacy
-// snapshot.bin, 2 = mmap-able indexfile). A fleet-wide min over this
-// gauge tells an operator when every graph has migrated.
-func (m *serverMetrics) snapFormat(name string) *obs.Gauge {
-	return m.reg.Gauge("truss_snapshot_format_version", "Snapshot format version persisted per graph.", "graph", name)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -30,12 +29,6 @@ import (
 //     synced) before a mutation is published, so a crash between the WAL
 //     write and the in-memory install replays to the same state.
 //
-// Older data directories may instead hold snapshot.bin — snapshot v1,
-// the pre-indexfile format carrying only the edge list and truss
-// numbers, which costs a full index rebuild at recovery. The Store still
-// reads v1 (the server migrates such graphs to v2 on first recovery) but
-// only ever writes v2.
-//
 // Recovery loads the snapshot, replays the WAL in order, and stops at the
 // first truncated or corrupt record — the tail that a crash mid-append
 // leaves behind is discarded, everything before it is kept. When the WAL
@@ -58,23 +51,12 @@ type Store struct {
 	OnOpen func(elapsed time.Duration, mappedBytes int64)
 }
 
-// Snapshot file layout constants.
+// Data directory layout constants.
 const (
-	snapshotMagic = "TRUSSNP1"
-	snapshotFile  = "snapshot.bin" // snapshot v1 (legacy, read-only)
-	indexFile     = "index.tix"    // snapshot v2: mmap-able indexfile
-	walFile       = "wal.bin"
-	graphDirPre   = "g-"
+	indexFile   = "index.tix" // snapshot v2: mmap-able indexfile
+	walFile     = "wal.bin"
+	graphDirPre = "g-"
 )
-
-// Snapshot format versions as reported by PersistedGraph.Format.
-const (
-	SnapshotFormatV1 = 1
-	SnapshotFormatV2 = 2
-)
-
-// errCorrupt tags snapshot integrity failures.
-var errCorrupt = errors.New("corrupt snapshot")
 
 // NewStore opens (creating if necessary) a data directory.
 func NewStore(dir string) (*Store, error) {
@@ -100,22 +82,19 @@ type PersistedGraph struct {
 	Name    string
 	Source  string
 	Version uint64
-	G       *graph.Graph
-	Phi     []int32
-	KMax    int32
-	// Format is the snapshot format the graph was read from
-	// (SnapshotFormatV1 or SnapshotFormatV2).
-	Format int
-	// File and Index are set for v2: the open indexfile mapping and the
-	// TrussIndex view aliasing it (G and Phi above alias it too). The
-	// caller owns File — either keep it open for as long as Index serves,
-	// or Close it once done (e.g. after replaying Mutations into a heap
-	// copy). For v1 they are nil and G/Phi are heap arrays.
+	// File is the open indexfile mapping and Index the TrussIndex view
+	// aliasing it. The caller owns File — either keep it open for as long
+	// as Index serves, or Close it once done (e.g. after replaying
+	// Mutations into a heap copy).
 	File  *indexfile.File
 	Index *index.TrussIndex
 	// Mutations are the WAL records appended after the snapshot, in
 	// order; Version above is the snapshot's, each record carries its own.
 	Mutations []MutationRec
+	// TornWAL reports that the WAL ends in bytes that are not an intact
+	// record — a crash mid-append. They must be dropped before the graph
+	// takes writes, or every record appended after them is unreadable.
+	TornWAL bool
 }
 
 // MutationRec is one durable mutation batch.
@@ -127,8 +106,7 @@ type MutationRec struct {
 
 // SaveIndexSnapshot atomically writes the v2 snapshot of name at
 // version — the complete indexfile, ready to be mmap'd by the next
-// recovery — and truncates its WAL plus any legacy v1 snapshot (both are
-// subsumed). This is the only snapshot format the Store writes. Callers
+// recovery — and truncates its WAL (the snapshot subsumes it). Callers
 // must ensure no append lands between the write and the unlink (the
 // server holds the graph's mutation lock); when appends must keep
 // flowing, use WriteIndexSnapshot + TruncateWAL instead.
@@ -136,17 +114,10 @@ func (st *Store) SaveIndexSnapshot(name, source string, version uint64, ix *inde
 	if err := st.WriteIndexSnapshot(name, source, version, ix); err != nil {
 		return err
 	}
-	dir := st.graphDir(name)
-	// The WAL (and a pre-migration v1 snapshot, if any) is now folded into
-	// the indexfile. Failing to unlink them is not fatal to durability —
-	// recovery prefers v2 and skips WAL records at or below its version —
-	// but surfacing the error keeps disk usage honest.
-	for _, stale := range []string{walFile, snapshotFile} {
-		if err := os.Remove(filepath.Join(dir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	return indexfile.SyncDir(dir)
+	// The WAL is now folded into the indexfile. Failing to unlink it is
+	// not fatal to durability — recovery skips WAL records at or below the
+	// snapshot's version — but surfacing the error keeps disk usage honest.
+	return st.removeWAL(name)
 }
 
 // WriteIndexSnapshot atomically writes the v2 snapshot of name at
@@ -163,17 +134,26 @@ func (st *Store) WriteIndexSnapshot(name, source string, version uint64, ix *ind
 	return indexfile.WriteFile(filepath.Join(dir, indexFile), ix, meta)
 }
 
+// removeWAL unlinks name's WAL, if any, and syncs the directory.
+func (st *Store) removeWAL(name string) error {
+	dir := st.graphDir(name)
+	if err := os.Remove(filepath.Join(dir, walFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return indexfile.SyncDir(dir)
+}
+
 // TruncateWAL drops name's WAL records at or below version upto (already
-// covered by a snapshot), keeping later ones. The surviving records are
-// rewritten atomically (temp + fsync + rename + directory fsync); a WAL
-// left with no records is removed outright, along with any legacy v1
-// snapshot the compaction has superseded. Returns the WAL's size in
-// bytes afterwards. Callers must exclude concurrent appends (the server
-// holds the graph's mutation lock).
+// covered by a snapshot), keeping later ones; a torn tail is dropped
+// too. The surviving records are rewritten atomically (temp + fsync +
+// rename + directory fsync); a WAL left with no records is removed
+// outright. Returns the WAL's size in bytes afterwards. Callers must
+// exclude concurrent appends (the server holds the graph's mutation
+// lock).
 func (st *Store) TruncateWAL(name string, upto uint64) (int64, error) {
 	dir := st.graphDir(name)
 	path := filepath.Join(dir, walFile)
-	recs, err := readWAL(path)
+	recs, _, err := readWAL(path)
 	if err != nil {
 		return 0, err
 	}
@@ -184,12 +164,7 @@ func (st *Store) TruncateWAL(name string, upto uint64) (int64, error) {
 		}
 	}
 	if len(keep) == 0 {
-		for _, stale := range []string{walFile, snapshotFile} {
-			if err := os.Remove(filepath.Join(dir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return 0, err
-			}
-		}
-		return 0, indexfile.SyncDir(dir)
+		return 0, st.removeWAL(name)
 	}
 	tmp, err := os.CreateTemp(dir, "wal-*.tmp")
 	if err != nil {
@@ -211,77 +186,6 @@ func (st *Store) TruncateWAL(name string, upto uint64) (int64, error) {
 		return 0, err
 	}
 	return int64(len(keep)), indexfile.SyncDir(dir)
-}
-
-// SaveSnapshot atomically writes the legacy v1 snapshot of name at
-// version and truncates its WAL (the snapshot subsumes it). The server
-// no longer calls this — it exists so tests can fabricate pre-migration
-// data directories and prove the v1 read path keeps working.
-func (st *Store) SaveSnapshot(name, source string, version uint64, g *graph.Graph, phi []int32, kmax int32) error {
-	dir := st.graphDir(name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(tmp, crc), 1<<16)
-	// bufio.Writer errors are sticky: the final Flush reports them.
-	var scratch [8]byte
-	writeU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, _ = bw.Write(scratch[:4])
-	}
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, _ = bw.Write(scratch[:8])
-	}
-	_, _ = bw.WriteString(snapshotMagic)
-	writeU64(version)
-	writeU32(uint32(g.NumVertices()))
-	writeU32(uint32(kmax))
-	writeU64(uint64(g.NumEdges()))
-	writeU32(uint32(len(source)))
-	_, _ = bw.WriteString(source)
-	for _, e := range g.Edges() {
-		writeU32(e.U)
-		writeU32(e.V)
-	}
-	for _, p := range phi {
-		writeU32(uint32(p))
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	sum := crc.Sum32()
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
-	if _, err := tmp.Write(scratch[:4]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapshotFile)); err != nil {
-		return err
-	}
-	// The WAL is now folded into the snapshot.
-	if err := os.Remove(filepath.Join(dir, walFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	// Make the rename itself durable: without the directory fsync a power
-	// cut can roll the directory entry back to the old snapshot even
-	// though the new file's blocks were synced.
-	return indexfile.SyncDir(dir)
 }
 
 // AppendMutation durably appends one mutation batch to name's WAL and
@@ -366,7 +270,7 @@ func (st *Store) SnapshotInfo(name string) (version uint64, bytes int64, err err
 // greater than from, in order. The WAL tail endpoint re-reads it on
 // each wakeup; compaction keeps the file (and so this read) bounded.
 func (st *Store) WALRecordsAfter(name string, from uint64) ([]MutationRec, error) {
-	recs, err := readWAL(filepath.Join(st.graphDir(name), walFile))
+	recs, _, err := readWAL(filepath.Join(st.graphDir(name), walFile))
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +284,8 @@ func (st *Store) WALRecordsAfter(name string, from uint64) ([]MutationRec, error
 }
 
 // ReceiveIndexSnapshot atomically installs snapshot bytes streamed from
-// a primary as name's index.tix, dropping any WAL or legacy v1 snapshot
-// of the lineage it replaces (temp file + fsync + rename + directory
+// a primary as name's index.tix, dropping any WAL of the lineage it
+// replaces (temp file + fsync + rename + directory
 // fsync, same discipline as locally written snapshots). It returns the
 // byte count received; the caller validates the file by opening it.
 func (st *Store) ReceiveIndexSnapshot(name string, r io.Reader) (int64, error) {
@@ -409,17 +313,13 @@ func (st *Store) ReceiveIndexSnapshot(name string, r io.Reader) (int64, error) {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, indexFile)); err != nil {
 		return n, err
 	}
-	for _, stale := range []string{walFile, snapshotFile} {
-		if err := os.Remove(filepath.Join(dir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return n, err
-		}
-	}
-	return n, indexfile.SyncDir(dir)
+	return n, st.removeWAL(name)
 }
 
 // LoadAll recovers every persisted graph in the data directory. Graphs
-// whose snapshot fails integrity checks are returned in broken with their
-// errors; a corrupt or truncated WAL tail only drops the tail.
+// whose snapshot is missing or fails integrity checks are returned in
+// broken with their errors; a corrupt or truncated WAL tail only drops
+// the tail, which PersistedGraph.TornWAL reports.
 func (st *Store) LoadAll() (graphs []*PersistedGraph, broken map[string]error, err error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -445,34 +345,11 @@ func (st *Store) LoadAll() (graphs []*PersistedGraph, broken map[string]error, e
 	return graphs, broken, nil
 }
 
-// load reads one graph's snapshot and WAL, preferring the v2 indexfile
-// when present (a crash between migration steps can leave both formats
-// on disk; v2 is always the newer state because it is written first).
+// load maps one graph's snapshot and reads its WAL. The returned
+// PersistedGraph aliases the mapping; the caller owns File.
 func (st *Store) load(name string) (*PersistedGraph, error) {
-	dir := st.graphDir(name)
-	pg, err := st.openIndexSnapshot(filepath.Join(dir, indexFile))
-	if errors.Is(err, os.ErrNotExist) {
-		pg, err = readSnapshot(filepath.Join(dir, snapshotFile))
-	}
-	if err != nil {
-		return nil, err
-	}
-	pg.Name = name
-	pg.Mutations, err = readWAL(filepath.Join(dir, walFile))
-	if err != nil {
-		if pg.File != nil {
-			pg.File.Close()
-		}
-		return nil, err
-	}
-	return pg, nil
-}
-
-// openIndexSnapshot maps a v2 snapshot. The returned PersistedGraph
-// aliases the mapping (Index, G, Phi); the caller owns File.
-func (st *Store) openIndexSnapshot(path string) (*PersistedGraph, error) {
 	start := time.Now()
-	f, err := indexfile.Open(path)
+	f, err := indexfile.Open(st.IndexPath(name))
 	if err != nil {
 		return nil, err
 	}
@@ -485,70 +362,31 @@ func (st *Store) openIndexSnapshot(path string) (*PersistedGraph, error) {
 	if st.OnOpen != nil {
 		st.OnOpen(time.Since(start), f.MappedBytes())
 	}
-	ix := f.Index()
-	return &PersistedGraph{
+	pg := &PersistedGraph{
+		Name:    name,
 		Source:  f.Meta().Source,
 		Version: f.Meta().GraphVersion,
-		G:       ix.Graph(),
-		Phi:     ix.PhiView(),
-		KMax:    ix.KMax(),
-		Format:  SnapshotFormatV2,
 		File:    f,
-		Index:   ix,
-	}, nil
-}
-
-// readSnapshot parses and integrity-checks a snapshot file.
-func readSnapshot(path string) (*PersistedGraph, error) {
-	raw, err := os.ReadFile(path)
+		Index:   f.Index(),
+	}
+	pg.Mutations, pg.TornWAL, err = readWAL(filepath.Join(st.graphDir(name), walFile))
 	if err != nil {
+		f.Close()
 		return nil, err
-	}
-	if len(raw) < len(snapshotMagic)+28+4 || string(raw[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad header", errCorrupt)
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errCorrupt)
-	}
-	r := body[8:]
-	u32 := func() uint32 { v := binary.LittleEndian.Uint32(r); r = r[4:]; return v }
-	u64 := func() uint64 { v := binary.LittleEndian.Uint64(r); r = r[8:]; return v }
-	pg := &PersistedGraph{Version: u64(), Format: SnapshotFormatV1}
-	n := int(u32())
-	pg.KMax = int32(u32())
-	m := u64()
-	srcLen := int(u32())
-	if uint64(len(r)) != uint64(srcLen)+12*m {
-		return nil, fmt.Errorf("%w: size mismatch", errCorrupt)
-	}
-	pg.Source = string(r[:srcLen])
-	r = r[srcLen:]
-	edges := make([]graph.Edge, m)
-	for i := range edges {
-		edges[i] = graph.Edge{U: u32(), V: u32()}
-	}
-	pg.Phi = make([]int32, m)
-	for i := range pg.Phi {
-		pg.Phi[i] = int32(u32())
-	}
-	pg.G, err = graph.FromCanonicalEdges(edges, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	return pg, nil
 }
 
-// readWAL parses WAL records up to the first truncated or corrupt one.
-func readWAL(path string) ([]MutationRec, error) {
+// readWAL parses WAL records up to the first truncated or corrupt one;
+// torn reports whether any bytes follow the last intact record.
+func readWAL(path string) (recs []MutationRec, torn bool, err error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var recs []MutationRec
 	for len(raw) >= 8 {
 		size := binary.LittleEndian.Uint32(raw)
 		sum := binary.LittleEndian.Uint32(raw[4:])
@@ -576,5 +414,5 @@ func readWAL(path string) ([]MutationRec, error) {
 		recs = append(recs, rec)
 		raw = raw[8+size:]
 	}
-	return recs, nil
+	return recs, len(raw) > 0, nil
 }

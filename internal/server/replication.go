@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/indexfile"
 )
@@ -28,8 +27,8 @@ import (
 // — and a follower reconstructs the full read surface from them: hydrate
 // by downloading and mmap-opening the indexfile (a file copy, not a WAL
 // replay — the payoff of the snapshot-v2 format), then tail the WAL and
-// apply each record through the same dynamic.Update + Patch path a local
-// mutation takes. The per-graph monotonic Version is the whole protocol:
+// apply each record through the same commit routine a local mutation
+// takes. The per-graph monotonic Version is the whole protocol:
 // records are streamed strictly in version order with no holes, a
 // follower applies record v only on top of v-1, and any discontinuity —
 // a rebuild (epoch bump), a compaction that truncated past the
@@ -319,10 +318,11 @@ var ErrReplicaGap = errors.New("replicated record does not follow the applied ve
 // exactly the stated version: records at or below the current version
 // are skipped (idempotent redelivery after a reconnect resumes cleanly),
 // a record more than one ahead is rejected with ErrReplicaGap, and the
-// in-sequence record runs the same maintenance path a local flush does —
-// dynamic.Update, copy-on-write Patch, WAL append before install (the
-// follower's own durability matches the primary's discipline, which is
-// what makes a follower restart resume instead of re-hydrate).
+// in-sequence record commits through the same routine a local flush
+// does — WAL append before install included, so the follower's own
+// durability matches the primary's discipline, which is what makes a
+// follower restart resume instead of re-hydrate. Maintenance runs on
+// ctx, so the follower's own shutdown interrupts it.
 func (s *Server) ApplyReplicated(ctx context.Context, name string, version uint64, adds, dels []graph.Edge) error {
 	lock := s.lockName(name)
 	defer s.unlockName(name, lock)
@@ -339,43 +339,8 @@ func (s *Server) ApplyReplicated(ctx context.Context, name string, version uint6
 	if version != e.Version+1 {
 		return fmt.Errorf("%w: record %d over applied %d", ErrReplicaGap, version, e.Version)
 	}
-	start := time.Now()
-	res, err := dynamic.Update(ctx, e.Index.Graph(), e.Index.PhiView(),
-		dynamic.Batch{Adds: adds, Dels: dels}, s.dynConfig())
-	if err != nil {
-		return err
-	}
-	patched := e.Index.Patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed)
-	if s.store != nil {
-		walBytes, err := s.store.AppendMutation(name, version, adds, dels)
-		if err != nil {
-			return fmt.Errorf("graph %q: replicated record rejected, WAL append failed: %w", name, err)
-		}
-		s.metrics.walAppends.Inc()
-		s.metrics.walSize(name).Set(walBytes)
-		defer func() {
-			if walBytes >= s.opts.walCompactBytes() {
-				s.scheduleCompaction(name, e.Source, version, e.Epoch, patched)
-			}
-		}()
-	}
-	s.metrics.maints.Inc()
-	s.metrics.maintDur.ObserveSince(start)
-	s.metrics.maintChanged.Add(int64(res.Stats.Changed))
-	ne := &Entry{
-		Name:      name,
-		State:     StateReady,
-		Index:     patched,
-		Source:    e.Source,
-		LoadedAt:  time.Now(),
-		BuildTime: e.BuildTime,
-		Epoch:     e.Epoch,
-		Version:   version,
-	}
-	if !s.install(name, ne, e.seq) {
-		return fmt.Errorf("graph %q: replicated record superseded by a concurrent install", name)
-	}
-	return nil
+	_, _, err := s.commit(ctx, e, version, adds, dels, false)
+	return err
 }
 
 // HydrateSnapshot replaces name's local state with a snapshot streamed
@@ -422,7 +387,6 @@ func (s *Server) HydrateSnapshot(name string, epoch int, r io.Reader) (*Entry, i
 		return nil, n, fmt.Errorf("graph %q: hydration superseded by a concurrent install", name)
 	}
 	s.metrics.ixMapped.Add(f.MappedBytes())
-	s.metrics.snapFormat(name).Set(SnapshotFormatV2)
 	s.logf("graph %q hydrated at version %d (epoch %d): m=%d kmax=%d, %d bytes",
 		name, e.Version, e.Epoch, ix.NumEdges(), ix.KMax(), n)
 	return e, n, nil

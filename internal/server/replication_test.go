@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -332,6 +333,54 @@ func TestApplyReplicated(t *testing.T) {
 	if !ok || e2.Version != 2 || e2.Index.NumEdges() != m1+1 {
 		t.Fatalf("recovered: %+v (m=%d), want version 2 m=%d", e2, e2.Index.NumEdges(), m1+1)
 	}
+
+	// A primary and a follower count the same maintenance for the same
+	// batch: one triangle-closing batch through Mutate on one server and
+	// through ApplyReplicated on another, each on its own registry.
+	tri := []graph.Edge{{U: 90, V: 91}, {U: 90, V: 92}, {U: 91, V: 92}}
+	pReg, fReg := obs.NewRegistry(), obs.NewRegistry()
+	p := New(Options{Workers: 1, Logf: t.Logf, DataDir: t.TempDir(), Metrics: pReg})
+	f := New(Options{Workers: 1, Logf: t.Logf, DataDir: t.TempDir(), Metrics: fReg})
+	defer p.Shutdown(ctx)
+	p.Build("g", gen.PaperExample(), "inline")
+	f.Build("g", gen.PaperExample(), "inline")
+	pe, _, err := p.Mutate(ctx, "g", tri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyReplicated(ctx, "g", pe.Version, tri, nil); err != nil {
+		t.Fatal(err)
+	}
+	pm, fm := registrySamples(t, pReg), registrySamples(t, fReg)
+	for _, name := range []string{
+		"truss_maintenance_total",
+		"truss_maintenance_changed_edges_total",
+		"truss_maintenance_region_edges_total",
+		"truss_maintenance_fallbacks_total",
+		"truss_maintenance_parallel_peels_total",
+		"truss_wal_appends_total",
+	} {
+		if pm.Value(name) != fm.Value(name) {
+			t.Errorf("%s: primary %v, follower %v", name, pm.Value(name), fm.Value(name))
+		}
+	}
+	if pm.Value("truss_maintenance_region_edges_total") == 0 {
+		t.Error("the triangle-closing batch re-peeled no region")
+	}
+}
+
+// registrySamples renders reg and parses it back.
+func registrySamples(t *testing.T, reg *obs.Registry) obs.Samples {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }
 
 // TestHydrateSnapshot: a snapshot streamed from a primary installs at

@@ -603,10 +603,7 @@ func (s *Server) saveSnapshot(name, source string, version uint64, ix *index.Tru
 	}
 	s.metrics.snapSaves.Inc()
 	s.metrics.snapDur.ObserveSince(start)
-	// Builds and compactions both start a fresh WAL lineage, always in
-	// the v2 format.
 	s.metrics.walSize(name).Set(0)
-	s.metrics.snapFormat(name).Set(SnapshotFormatV2)
 	return nil
 }
 
@@ -661,17 +658,18 @@ func (s *Server) Mutate(ctx context.Context, name string, adds, dels []graph.Edg
 	return out.entry, out.res, nil
 }
 
-// Recover restores every graph persisted under Options.DataDir. Graphs
-// with a clean v2 snapshot serve straight off the memory-mapped
-// indexfile — open cost is O(sections + kmax) validation, no replay, no
-// re-peeling — so readiness flips after O(graphs) opens regardless of
-// edge counts. WAL batches a crash left behind are patched over the
-// mapped base (Patch is copy-on-write, so the result is an ordinary
-// heap index and the mapping is released). Legacy v1 snapshots take the
-// old path — replay into heap structures plus a full index rebuild —
-// exactly once: recovery migrates them to v2 on the way through.
-// Graphs with corrupt snapshots are skipped (and logged); a torn WAL
-// tail is dropped. Call it once, before serving.
+// Recover restores every graph persisted under Options.DataDir. Each
+// graph starts from its memory-mapped snapshot — open cost is
+// O(sections + kmax) validation, no re-peeling — and the WAL records
+// past it are replayed through the same commit routine a flush takes,
+// without appending them again; the result is installed once. With no
+// records to replay (v2-open) the mapped snapshot itself serves, so
+// readiness flips after O(graphs) opens regardless of edge counts. A
+// replay (v2-replay) ends in a pure heap index (Patch copies), so the
+// never-published mapping is released and the result is folded into a
+// fresh snapshot. Graphs with unreadable snapshots are skipped (and
+// logged); a torn WAL tail is dropped from disk before the graph takes
+// writes. Call it once, before serving.
 func (s *Server) Recover() error {
 	if s.storeErr != nil {
 		return s.storeErr
@@ -688,109 +686,67 @@ func (s *Server) Recover() error {
 	}
 	for _, pg := range graphs {
 		start := time.Now()
-		version := pg.Version
-		// Skip WAL records already folded into the snapshot: a crash
-		// between a compaction's snapshot rename and its WAL unlink
-		// leaves the whole WAL behind at versions the snapshot includes.
-		muts := pg.Mutations[:0:0]
-		for _, mut := range pg.Mutations {
-			if mut.Version > pg.Version {
-				muts = append(muts, mut)
+		if pg.TornWAL {
+			// An append after the torn bytes would be unreadable at the
+			// next recovery, silently losing writes acked from here on.
+			if _, err := s.store.TruncateWAL(pg.Name, pg.Version); err != nil {
+				pg.File.Close()
+				s.logf("graph %q: not recovered: dropping torn WAL tail: %v", pg.Name, err)
+				continue
 			}
 		}
-
-		var ix *index.TrussIndex
-		var path string
-		switch {
-		case pg.Format == SnapshotFormatV2 && len(muts) == 0:
-			// The fast path the format exists for: the mapped file is the
-			// index. The mapping stays open for the life of the process
-			// (queries may hold the entry at any time, so it is never
-			// unmapped — later rebuilds just stop referencing it).
-			ix = pg.Index
-			path = "v2-open"
-		case pg.Format == SnapshotFormatV2:
-			// Patch the WAL over the mapped base: each batch costs its
-			// touched levels, not a rebuild. The final index is pure heap
-			// (Patch copies), so the mapping can be released afterwards.
-			cur, g, phi := pg.Index, pg.G, pg.Phi
-			for _, mut := range muts {
-				res, err := dynamic.Update(s.baseCtx, g, phi,
-					dynamic.Batch{Adds: mut.Adds, Dels: mut.Dels},
-					s.dynConfig())
-				if err != nil {
-					pg.File.Close()
-					return fmt.Errorf("graph %q: WAL replay: %w", pg.Name, err)
-				}
-				cur = cur.Patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed)
-				g, phi, version = res.G, res.Phi, mut.Version
-			}
-			pg.File.Close()
-			pg.File = nil
-			ix = cur
-			path = "v2-replay"
-		default:
-			// Legacy v1: replay into heap structures and rebuild the index
-			// from scratch — the O(m^1.5) restart this format retires.
-			g, phi, kmax := pg.G, pg.Phi, pg.KMax
-			for _, mut := range muts {
-				res, err := dynamic.Update(s.baseCtx, g, phi,
-					dynamic.Batch{Adds: mut.Adds, Dels: mut.Dels},
-					s.dynConfig())
-				if err != nil {
-					return fmt.Errorf("graph %q: WAL replay: %w", pg.Name, err)
-				}
-				g, phi, kmax, version = res.G, res.Phi, res.KMax, mut.Version
-			}
-			ix = index.Build(&core.Result{G: g, Phi: phi, KMax: kmax})
-			path = "v1-replay"
-		}
-
 		e := &Entry{
 			Name:     pg.Name,
 			State:    StateReady,
-			Index:    ix,
+			Index:    pg.Index,
 			Source:   pg.Source,
 			LoadedAt: time.Now(),
 			Epoch:    1,
-			Version:  version,
+			Version:  pg.Version,
+		}
+		replayed := 0
+		for _, rec := range pg.Mutations {
+			// Skip records already folded into the snapshot: a crash
+			// between a compaction's snapshot rename and its WAL unlink
+			// leaves the whole WAL behind at versions the snapshot includes.
+			if rec.Version <= pg.Version {
+				continue
+			}
+			if e, _, err = s.commit(s.baseCtx, e, rec.Version, rec.Adds, rec.Dels, true); err != nil {
+				pg.File.Close()
+				return fmt.Errorf("graph %q: WAL replay: %w", pg.Name, err)
+			}
+			replayed++
 		}
 		if !s.install(pg.Name, e, s.beginBuild()) {
-			if pg.File != nil {
-				pg.File.Close()
-			}
+			pg.File.Close()
 			continue
 		}
-		s.metrics.recovered.Inc()
-		s.metrics.replayed.Add(int64(len(muts)))
-		switch path {
-		case "v2-open":
+		path, mapped := "v2-open", int64(0)
+		if replayed == 0 {
+			// The mapping stays open for the life of the process: queries
+			// may hold the entry at any time, so it is never unmapped —
+			// later rebuilds just stop referencing it.
+			mapped = pg.File.MappedBytes()
 			s.metrics.restartV2Open.Inc()
-			s.metrics.ixMapped.Add(pg.File.MappedBytes())
-			s.metrics.snapFormat(pg.Name).Set(SnapshotFormatV2)
-		case "v2-replay":
+			s.metrics.ixMapped.Add(mapped)
+		} else {
+			path = "v2-replay"
+			pg.File.Close()
 			s.metrics.restartV2Replay.Inc()
 			// Fold the replayed WAL in so the next restart maps and goes.
-			if err := s.saveSnapshot(pg.Name, pg.Source, version, ix); err != nil {
+			if err := s.saveSnapshot(pg.Name, pg.Source, e.Version, e.Index); err != nil {
 				s.logf("graph %q: post-recovery compaction failed: %v", pg.Name, err)
 			} else {
 				s.metrics.compactions.Inc()
 			}
-		case "v1-replay":
-			s.metrics.restartV1Replay.Inc()
-			s.metrics.snapFormat(pg.Name).Set(SnapshotFormatV1)
-			// Migrate: persist the rebuilt index as v2 so this graph never
-			// takes the replay path again.
-			if err := s.saveSnapshot(pg.Name, pg.Source, version, ix); err != nil {
-				s.logf("graph %q: v1 snapshot migration failed: %v", pg.Name, err)
-			} else if len(muts) > 0 {
-				s.metrics.compactions.Inc()
-			}
 		}
-		s.recoveryLog(pg, path, version, len(muts), time.Since(start))
+		s.metrics.recovered.Inc()
+		s.metrics.replayed.Add(int64(replayed))
+		s.recoveryLog(pg.Name, path, e.Version, replayed, mapped, time.Since(start))
 		s.logf("graph %q recovered at version %d via %s: n=%d m=%d kmax=%d (%d WAL batches replayed, %s)",
-			pg.Name, version, path, ix.Graph().NumVertices(), ix.Graph().NumEdges(), ix.KMax(),
-			len(muts), time.Since(start).Round(time.Microsecond))
+			pg.Name, e.Version, path, e.Index.Graph().NumVertices(), e.Index.NumEdges(), e.Index.KMax(),
+			replayed, time.Since(start).Round(time.Microsecond))
 	}
 	return nil
 }
@@ -800,17 +756,13 @@ func (s *Server) Recover() error {
 // see whether a restart mapped its snapshots or had to replay. Recover
 // runs before the HTTP listener opens, so writing directly is ordered
 // before any request line.
-func (s *Server) recoveryLog(pg *PersistedGraph, path string, version uint64, replayed int, elapsed time.Duration) {
+func (s *Server) recoveryLog(name, path string, version uint64, replayed int, mapped int64, elapsed time.Duration) {
 	if s.opts.AccessLog == nil {
 		return
 	}
-	var mapped int64
-	if pg.File != nil {
-		mapped = pg.File.MappedBytes()
-	}
 	fmt.Fprintf(s.opts.AccessLog,
 		"time=%s event=recovery graph=%q restart_path=%s version=%d replayed=%d mapped_bytes=%d dur=%s\n",
-		time.Now().UTC().Format(time.RFC3339Nano), pg.Name, path, version, replayed, mapped,
+		time.Now().UTC().Format(time.RFC3339Nano), name, path, version, replayed, mapped,
 		elapsed.Round(time.Microsecond))
 }
 
