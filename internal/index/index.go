@@ -18,18 +18,30 @@
 // On top of that, for each level k in [3, kmax] the index stores the
 // triangle-connected components of T_k (the k-truss communities) as a
 // grouped edge permutation plus offsets, so a community is returned as a
-// single subslice. All per-level componentizations are computed in one
-// pass with a monotone union-find: triangles are bucketed by the minimum
-// truss number of their three edges, and levels are materialized from
-// kmax downward, adding each bucket's triangles before snapshotting —
-// T_{k-1}'s components only ever merge components of T_k, so one
-// union-find serves every level.
+// single subslice.
+//
+// Construction. Triangles are bucketed by the minimum truss number of
+// their three edges in two passes (count, then fill) over one
+// degree-ordered view, fanned out over fixed rank chunks on GOMAXPROCS
+// workers; per-chunk tallies are prefix-summed into exact write offsets,
+// so the flat triangle array is exact-sized and keeps the serial order.
+// Levels are then materialized from kmax downward over one monotone
+// union-find, adding each bucket's triangles before snapshotting —
+// T_{k-1}'s components only ever merge components of T_k. A snapshot is
+// one counting pass over T_k in edge-ID order (the ID-sorted T_{k+1}
+// merged with class k) that numbers components by first appearance, a
+// sort of the community list by size, and a scatter of every edge into
+// its slot. Construction holds 12 bytes per triangle plus O(m) scratch
+// beyond the index itself.
 //
 // A TrussIndex is immutable after Build and safe for concurrent readers
 // without locking.
 package index
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -75,10 +87,11 @@ type Class struct {
 // Build constructs a TrussIndex from a decomposition. The result's Phi
 // slice is copied, so r may be discarded or mutated afterwards; the graph
 // r.G is retained by reference. Build costs two triangle enumerations
-// (O(m^1.5)) plus O(sum_k |T_k|) for the per-level community tables, and
-// transiently buffers 12 bytes per triangle (exact-sized by a counting
-// pre-pass) while the levels are snapshotted — it is meant to run once
-// per decomposition, off the query path.
+// (O(m^1.5)), run over rank chunks on GOMAXPROCS workers, plus
+// O(sum_k |T_k|) for the per-level community tables; it transiently holds
+// 12 bytes per triangle (exact-sized by the counting pass) and O(m)
+// scratch while the levels are snapshotted. It is meant to run once per
+// decomposition, off the query path.
 func Build(r *core.Result) *TrussIndex {
 	ix := &TrussIndex{
 		g:    r.G,
@@ -86,7 +99,7 @@ func Build(r *core.Result) *TrussIndex {
 		kmax: r.KMax,
 	}
 	ix.initArrays()
-	ix.buildLevels()
+	ix.buildLevels(runtime.GOMAXPROCS(0))
 	return ix
 }
 
@@ -120,103 +133,192 @@ func (ix *TrussIndex) initArrays() {
 }
 
 // buildLevels materializes the triangle-connected components of every
-// k-truss. Each triangle lives in T_k exactly for k <= min phi of its
-// three edges (and that minimum is always >= 3: any edge on a triangle
-// keeps support 1 in the triangle itself). Triangles are bucketed by that
-// minimum, then levels are snapshotted from kmax down to 3 over a single
-// growing union-find.
-func (ix *TrussIndex) buildLevels() {
+// k-truss on up to workers goroutines and returns how many triangles it
+// left out because one of their edges has truss number below 3 — zero for
+// any valid decomposition, where every edge of a triangle keeps support 1
+// within the triangle itself. Such a triangle lies in no T_k with k >= 3,
+// so leaving it out is exactly right for the tables; BuildFromStream
+// reports it as corruption.
+//
+// A triangle lives in T_k exactly for k <= min phi of its three edges, so
+// the (e1,e2,e3) triples are bucketed by that minimum into one flat array
+// of 12 bytes per triangle, exact-sized by a counting pass. Both passes
+// enumerate one degree-ordered view over fixed rank chunks: the count pass
+// tallies each chunk's triangles per bucket, a prefix sum in (bucket,
+// chunk) order turns the tallies into exact write offsets, and the fill
+// pass writes each chunk's triangles from its own offsets, so every bucket
+// holds its triangles in the serial enumeration order for any worker
+// count. sweepLevels then snapshots the levels from kmax down to 3.
+func (ix *TrussIndex) buildLevels(workers int) (skipped int64) {
 	ix.levels = make([]level, ix.kmax+1)
 	if ix.kmax < 3 {
-		return
+		return 0
 	}
-	// Bucket the (e1,e2,e3) triples by their minimum phi. A counting
-	// pre-pass sizes one flat array exactly (12 bytes per triangle, no
-	// append slack), which is the build's peak transient allocation.
-	// minPhi is always >= 3: every edge of a triangle keeps support 1
-	// within the triangle itself, so its truss number is at least 3.
+	o := graph.BuildOrientedParallel(ix.g, workers)
+	phi := ix.phi
 	minPhi := func(e1, e2, e3 int32) int32 {
-		k := ix.phi[e1]
-		if p := ix.phi[e2]; p < k {
-			k = p
-		}
-		if p := ix.phi[e3]; p < k {
-			k = p
-		}
-		return k
+		return min(phi[e1], phi[e2], phi[e3])
 	}
-	counts := make([]int64, ix.kmax+2)
-	triangle.ForEach(ix.g, func(e1, e2, e3 int32) {
-		counts[minPhi(e1, e2, e3)]++
+
+	// tally[c*stride+k] counts chunk c's triangles of minimum phi k. Rows
+	// are padded to a cache line so workers on neighbouring chunks do not
+	// share one, and chunks are widened past triangle.Chunk ranks when
+	// needed to keep the table within m entries for any kmax.
+	n, m := int64(len(o.Vert)), int64(len(phi))
+	stride := (int64(ix.kmax) + 1 + 7) &^ 7
+	size := int64(triangle.Chunk)
+	if (n+size-1)/size*stride > m {
+		size = (n*stride + m - 1) / m
+	}
+	chunks := (n + size - 1) / size
+	tally := make([]int64, chunks*stride)
+	triangle.ForEachChunked(o, int32(size), workers, func(c, e1, e2, e3 int32) {
+		tally[int64(c)*stride+int64(minPhi(e1, e2, e3))]++
 	})
-	// off[k] is the start of bucket k in tris, in units of triples.
+
+	// Turn the tallies into write cursors in place. off[k] is the start
+	// of bucket k in tris, in triples.
 	off := make([]int64, ix.kmax+2)
 	var total int64
-	for k := int32(3); k <= ix.kmax; k++ {
+	for k := int64(0); k <= int64(ix.kmax); k++ {
 		off[k] = total
-		total += counts[k]
+		for c := int64(0); c < chunks; c++ {
+			i := c*stride + k
+			if k < 3 {
+				skipped += tally[i]
+				continue
+			}
+			tally[i], total = total, total+tally[i]
+		}
 	}
 	off[ix.kmax+1] = total
 	tris := make([]int32, 3*total)
-	cur := make([]int64, ix.kmax+1)
-	copy(cur, off[:ix.kmax+1])
-	triangle.ForEach(ix.g, func(e1, e2, e3 int32) {
+	triangle.ForEachChunked(o, int32(size), workers, func(c, e1, e2, e3 int32) {
 		k := minPhi(e1, e2, e3)
-		p := 3 * cur[k]
-		tris[p], tris[p+1], tris[p+2] = e1, e2, e3
-		cur[k]++
+		if k < 3 {
+			return
+		}
+		cur := &tally[int64(c)*stride+int64(k)]
+		i := 3 * *cur
+		tris[i], tris[i+1], tris[i+2] = e1, e2, e3
+		*cur++
 	})
 
-	uf := dsu.New(len(ix.phi))
-	for k := ix.kmax; k >= 3; k-- {
-		for i := 3 * off[k]; i < 3*off[k+1]; i += 3 {
-			uf.Union(tris[i], tris[i+1])
-			uf.Union(tris[i], tris[i+2])
+	buckets := make([][]int32, ix.kmax+1)
+	for k := int32(3); k <= ix.kmax; k++ {
+		buckets[k] = tris[3*off[k] : 3*off[k+1]]
+	}
+	ix.sweepLevels(dsu.New(len(phi)), make([]int32, 0, ix.cnt[3]), buckets)
+	return skipped
+}
+
+// sweepLevels snapshots levels len(buckets)-1 down to 3 over one
+// union-find. On entry uf holds the components of T_{kTop+1} (kTop =
+// len(buckets)-1) and ids lists T_{kTop+1}'s edges in ascending ID order,
+// with capacity for all of T_3. At each level k the triangles of minimum
+// truss number k (buckets[k], flattened (e1,e2,e3) triples) are unioned
+// in — T_{k-1}'s components only ever merge T_k's, so one union-find
+// serves every level — class k, an ID-ascending segment of byPhi, is
+// merged into ids, and the partition of T_k is frozen.
+func (ix *TrussIndex) sweepLevels(uf *dsu.UnionFind, ids []int32, buckets [][]int32) {
+	s := newSnapshotter(len(ix.phi))
+	for k := int32(len(buckets) - 1); k >= 3; k-- {
+		t := buckets[k]
+		for i := 0; i < len(t); i += 3 {
+			uf.Union(t[i], t[i+1])
+			uf.Union(t[i], t[i+2])
 		}
-		ix.levels[k] = ix.snapshotLevel(k, uf)
+		ids = mergeAscending(ids, ix.Class(k))
+		ix.levels[k] = s.snapshot(ids, uf, ix.pos)
 	}
 }
 
-// snapshotLevel freezes the current union-find state into the community
-// table for level k (T_k is the prefix byPhi[:cnt[k]]).
-func (ix *TrussIndex) snapshotLevel(k int32, uf *dsu.UnionFind) level {
-	nk := ix.cnt[k]
-	rootComm := map[int32]int32{}
-	var groups [][]int32
-	for i := int32(0); i < nk; i++ {
-		e := ix.byPhi[i]
-		r := uf.Find(e)
-		c, ok := rootComm[r]
-		if !ok {
-			c = int32(len(groups))
-			rootComm[r] = c
-			groups = append(groups, nil)
+// mergeAscending merges the ascending slice add into the ascending slice
+// ids, in place from the back, and returns the extended ids; ids must
+// have capacity for both.
+func mergeAscending(ids, add []int32) []int32 {
+	i := len(ids) - 1
+	ids = ids[:len(ids)+len(add)]
+	for j, w := len(add)-1, len(ids)-1; j >= 0; w-- {
+		if i >= 0 && ids[i] > add[j] {
+			ids[w] = ids[i]
+			i--
+		} else {
+			ids[w] = add[j]
+			j--
 		}
-		groups[c] = append(groups[c], e)
 	}
-	// Within a community, list edges by ascending ID; order communities
-	// largest first (ties by smallest member ID) to match
-	// community.Detect.
-	for _, gset := range groups {
-		sort.Slice(gset, func(i, j int) bool { return gset[i] < gset[j] })
+	return ids
+}
+
+// snapshotter freezes union-find partitions into level tables. Its
+// scratch is allocated once per build or patch and reused at every level.
+type snapshotter struct {
+	comm  []int32 // comm[root] = community of root's set during a snapshot, else -1
+	roots []int32 // per community, by first appearance: its root, later its rank
+	sizes []int32 // per community: its size, later its write cursor
+	order []int32 // communities in table order
+}
+
+func newSnapshotter(m int) *snapshotter {
+	comm := make([]int32, m)
+	for i := range comm {
+		comm[i] = -1
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if len(groups[i]) != len(groups[j]) {
-			return len(groups[i]) > len(groups[j])
-		}
-		return groups[i][0] < groups[j][0]
-	})
+	return &snapshotter{comm: comm}
+}
+
+// snapshot freezes uf's partition of the k-truss, whose edges ids lists
+// in ascending ID order, into a level table: communities largest first,
+// ties by smallest member ID, each listing its edges ascending (the order
+// community.Detect uses). One pass numbers the communities by first
+// appearance — which, as ids ascend, is by smallest member ID — and sizes
+// them; sorting the community list fixes the table order; a second pass
+// scatters every edge to its slot, so each community stays ID-ascending.
+func (s *snapshotter) snapshot(ids []int32, uf *dsu.UnionFind, pos []int32) level {
 	lv := level{
-		edgeOrder: make([]int32, 0, nk),
-		commOff:   make([]int32, 1, len(groups)+1),
-		commIdx:   make([]int32, nk),
+		edgeOrder: make([]int32, len(ids)),
+		commIdx:   make([]int32, len(ids)),
 	}
-	for c, gset := range groups {
-		for _, e := range gset {
-			lv.commIdx[ix.pos[e]] = int32(c)
+	s.roots, s.sizes = s.roots[:0], s.sizes[:0]
+	for _, e := range ids {
+		r := uf.Find(e)
+		c := s.comm[r]
+		if c < 0 {
+			c = int32(len(s.roots))
+			s.comm[r] = c
+			s.roots = append(s.roots, r)
+			s.sizes = append(s.sizes, 0)
 		}
-		lv.edgeOrder = append(lv.edgeOrder, gset...)
-		lv.commOff = append(lv.commOff, int32(len(lv.edgeOrder)))
+		s.sizes[c]++
+		lv.commIdx[pos[e]] = c
+	}
+	s.order = s.order[:0]
+	for c, r := range s.roots {
+		s.comm[r] = -1
+		s.order = append(s.order, int32(c))
+	}
+	slices.SortFunc(s.order, func(a, b int32) int {
+		if d := cmp.Compare(s.sizes[b], s.sizes[a]); d != 0 {
+			return d
+		}
+		return cmp.Compare(a, b)
+	})
+	lv.commOff = make([]int32, len(s.order)+1)
+	rank, next := s.roots, s.sizes
+	for i, c := range s.order {
+		rank[c] = int32(i)
+		lv.commOff[i+1] = lv.commOff[i] + s.sizes[c]
+	}
+	for c := range next {
+		next[c] = lv.commOff[rank[c]]
+	}
+	for _, e := range ids {
+		p := pos[e]
+		c := lv.commIdx[p]
+		lv.commIdx[p] = rank[c]
+		lv.edgeOrder[next[c]] = e
+		next[c]++
 	}
 	return lv
 }

@@ -1,13 +1,20 @@
 package index
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/community"
 	"repro/internal/core"
+	"repro/internal/dsu"
+	"repro/internal/dynamic"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/triangle"
 )
 
 // fixtures returns the graphs every index property is cross-checked on:
@@ -240,4 +247,178 @@ func sortInt32s(a []int32) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
+}
+
+// referenceBuild is the original serial construction, kept as the oracle
+// for buildLevels: one triangle.ForEach pass buckets the triangles by
+// their minimum truss number, and every level is snapshotted by grouping
+// T_k's edges by union-find root through a map, sorting each group, and
+// sorting the groups largest first.
+func referenceBuild(r *core.Result) *TrussIndex {
+	ix := &TrussIndex{g: r.G, phi: append([]int32(nil), r.Phi...), kmax: r.KMax}
+	ix.initArrays()
+	ix.levels = make([]level, ix.kmax+1)
+	if ix.kmax < 3 {
+		return ix
+	}
+	buckets := make([][]int32, ix.kmax+1)
+	triangle.ForEach(ix.g, func(e1, e2, e3 int32) {
+		if k := min(ix.phi[e1], ix.phi[e2], ix.phi[e3]); k >= 3 {
+			buckets[k] = append(buckets[k], e1, e2, e3)
+		}
+	})
+	uf := dsu.New(len(ix.phi))
+	for k := ix.kmax; k >= 3; k-- {
+		tris := buckets[k]
+		for i := 0; i < len(tris); i += 3 {
+			uf.Union(tris[i], tris[i+1])
+			uf.Union(tris[i], tris[i+2])
+		}
+		ix.levels[k] = referenceSnapshot(ix, k, uf)
+	}
+	return ix
+}
+
+// referenceSnapshot freezes the union-find state into the community
+// table for level k (T_k is the prefix byPhi[:cnt[k]]).
+func referenceSnapshot(ix *TrussIndex, k int32, uf *dsu.UnionFind) level {
+	nk := ix.cnt[k]
+	rootComm := map[int32]int32{}
+	var groups [][]int32
+	for i := int32(0); i < nk; i++ {
+		e := ix.byPhi[i]
+		r := uf.Find(e)
+		c, ok := rootComm[r]
+		if !ok {
+			c = int32(len(groups))
+			rootComm[r] = c
+			groups = append(groups, nil)
+		}
+		groups[c] = append(groups[c], e)
+	}
+	for _, gset := range groups {
+		sort.Slice(gset, func(i, j int) bool { return gset[i] < gset[j] })
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		if len(groups[i]) != len(groups[j]) {
+			return len(groups[i]) > len(groups[j])
+		}
+		return groups[i][0] < groups[j][0]
+	})
+	lv := level{
+		edgeOrder: make([]int32, 0, nk),
+		commOff:   make([]int32, 1, len(groups)+1),
+		commIdx:   make([]int32, nk),
+	}
+	for c, gset := range groups {
+		for _, e := range gset {
+			lv.commIdx[ix.pos[e]] = int32(c)
+		}
+		lv.edgeOrder = append(lv.edgeOrder, gset...)
+		lv.commOff = append(lv.commOff, int32(len(lv.edgeOrder)))
+	}
+	return lv
+}
+
+// buildWith is Build on an explicit number of workers.
+func buildWith(r *core.Result, workers int) *TrussIndex {
+	ix := &TrussIndex{g: r.G, phi: append([]int32(nil), r.Phi...), kmax: r.KMax}
+	ix.initArrays()
+	ix.buildLevels(workers)
+	return ix
+}
+
+// chunkyGraph spans 16 rank chunks and, through its planted cliques, 24
+// levels.
+func chunkyGraph() *graph.Graph {
+	const s = 5
+	return gen.WithPlantedCliques(gen.RMAT(12, 6, 0.57, 0.19, 0.19, s), []int{24, 16, 10}, s)
+}
+
+// TestBuildMatchesReference: the chunked two-pass bucketing and the
+// counting snapshot build exactly the reference tables for every worker
+// count, and so does a Patch step from the result, both one that keeps
+// the top levels and one whose delta reaches kmax.
+func TestBuildMatchesReference(t *testing.T) {
+	workers := []int{1, 2, 3, 8}
+	graphs := fixtures()
+	graphs["rmat-cliques"] = chunkyGraph()
+	for name, g := range graphs {
+		r := core.Decompose(g)
+		want := referenceBuild(r)
+		for _, w := range workers {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
+				sameIndex(t, buildWith(r, w), want)
+			})
+		}
+	}
+
+	g := chunkyGraph()
+	r := core.Decompose(g)
+	top := r.Class(r.KMax)[0]
+	batches := map[string]dynamic.Batch{
+		"low": {
+			Adds: []graph.Edge{{U: 1, V: 4000}, {U: 1, V: 4001}, {U: 4000, V: 4001}},
+			Dels: []graph.Edge{g.Edge(r.Class(3)[0]), g.Edge(r.Class(5)[0])},
+		},
+		"kmax": {Dels: []graph.Edge{g.Edge(top)}},
+	}
+	for name, batch := range batches {
+		res, err := dynamic.Update(context.Background(), g, r.Phi, batch, dynamic.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceBuild(&core.Result{G: res.G, Phi: res.Phi, KMax: res.KMax})
+		for _, w := range workers {
+			t.Run(fmt.Sprintf("patch-%s/workers=%d", name, w), func(t *testing.T) {
+				got := buildWith(r, w).patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed, w)
+				sameIndex(t, got, want)
+			})
+		}
+	}
+}
+
+// FuzzBuildLevels decodes its input as edges with 16-bit endpoints, four
+// bytes each, so vertex IDs spread over many rank chunks, decomposes the
+// graph, and checks the construction against referenceBuild for one to
+// four workers.
+func FuzzBuildLevels(f *testing.F) {
+	enc := func(edges ...[2]uint16) []byte {
+		var b []byte
+		for _, e := range edges {
+			b = binary.LittleEndian.AppendUint16(b, e[0])
+			b = binary.LittleEndian.AppendUint16(b, e[1])
+		}
+		return b
+	}
+	clique := func(vs ...uint16) [][2]uint16 {
+		var es [][2]uint16
+		for i := range vs {
+			for j := i + 1; j < len(vs); j++ {
+				es = append(es, [2]uint16{vs[i], vs[j]})
+			}
+		}
+		return es
+	}
+	f.Add(enc(clique(0, 1, 2, 3)...))
+	f.Add(enc(append(clique(5, 700, 1400, 30000, 50000, 65535), clique(700, 1400, 2, 3)...)...))
+	var paper [][2]uint16
+	for _, e := range gen.PaperExample().Edges() {
+		paper = append(paper, [2]uint16{uint16(e.U * 257), uint16(e.V * 257)})
+	}
+	f.Add(enc(paper...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var edges []graph.Edge
+		for i := 0; i+4 <= len(data); i += 4 {
+			edges = append(edges, graph.Edge{
+				U: uint32(binary.LittleEndian.Uint16(data[i:])),
+				V: uint32(binary.LittleEndian.Uint16(data[i+2:])),
+			})
+		}
+		r := core.Decompose(graph.FromEdges(edges))
+		want := referenceBuild(r)
+		for w := 1; w <= 4; w++ {
+			sameIndex(t, buildWith(r, w), want)
+		}
+	})
 }

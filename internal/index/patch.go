@@ -1,6 +1,8 @@
 package index
 
 import (
+	"runtime"
+
 	"repro/internal/dsu"
 	"repro/internal/graph"
 	"repro/internal/triangle"
@@ -27,8 +29,16 @@ import (
 // tie-breaking survive verbatim). Only levels 3..kTouched are
 // re-componentized, and only from triangles at min-phi <= kTouched —
 // enumerated around the edges of those low classes, never the whole
-// graph — seeded with the first untouched level's components.
+// graph — through the same sweep and snapshot as Build, seeded with the
+// first untouched level's components and the ID-sorted T_{kTouched+1}.
+// A delta that reaches kmax rebuilds every level as Build does, on
+// GOMAXPROCS workers.
 func (ix *TrussIndex) Patch(g *graph.Graph, phi []int32, kmax int32, re *graph.Remap, changed []int32) *TrussIndex {
+	return ix.patch(g, phi, kmax, re, changed, runtime.GOMAXPROCS(0))
+}
+
+// patch is Patch with the worker count of a full rebuild made explicit.
+func (ix *TrussIndex) patch(g *graph.Graph, phi []int32, kmax int32, re *graph.Remap, changed []int32, workers int) *TrussIndex {
 	ix2 := &TrussIndex{
 		g:    g,
 		phi:  append([]int32(nil), phi...),
@@ -56,7 +66,7 @@ func (ix *TrussIndex) Patch(g *graph.Graph, phi []int32, kmax int32, re *graph.R
 	}
 	if kTouched >= kmax {
 		// The delta reaches the top of the hierarchy: nothing to reuse.
-		ix2.buildLevels()
+		ix2.buildLevels(workers)
 		return ix2
 	}
 
@@ -79,6 +89,10 @@ func (ix *TrussIndex) Patch(g *graph.Graph, phi []int32, kmax int32, re *graph.R
 			}
 		}
 		ix2.levels[k] = lv
+	}
+	if kTouched < 3 {
+		// The delta stays in class 2, which has no community table.
+		return ix2
 	}
 
 	// Re-componentize the touched levels, folding in the first untouched
@@ -123,13 +137,12 @@ func (ix *TrussIndex) Patch(g *graph.Graph, phi []int32, kmax int32, re *graph.R
 			buckets[mn] = append(buckets[mn], e, a, b)
 		})
 	}
-	for k := kTouched; k >= 3; k-- {
-		tris := buckets[k]
-		for i := 0; i < len(tris); i += 3 {
-			uf.Union(tris[i], tris[i+1])
-			uf.Union(tris[i], tris[i+2])
+	ids := make([]int32, 0, ix2.cnt[3])
+	for id, p := range phi {
+		if p > kTouched {
+			ids = append(ids, int32(id))
 		}
-		ix2.levels[k] = ix2.snapshotLevel(k, uf)
 	}
+	ix2.sweepLevels(uf, ids, buckets)
 	return ix2
 }

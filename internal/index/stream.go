@@ -3,9 +3,11 @@ package index
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/triangle"
 )
 
 // EdgeStream is the shape of a decomposition's edge enumerator: it calls
@@ -28,10 +30,12 @@ const streamCtxMask = 4095
 // The stream must describe a simple graph: self-loops and duplicate
 // edges are errors, not silently dropped — a decomposition that emits
 // them is corrupt, and dropping one of two conflicting phi values would
-// hide it. Cost over Build from an in-memory Result is one sort of the
-// edge list (the stream order is engine-dependent) plus a transient
-// 12 bytes per edge; the finished index is structurally identical to
-// what Build produces on the equivalent Result.
+// hide it. So is an edge with truss number 2 that lies on a triangle
+// (every edge of a triangle has truss number at least 3). Cost over
+// Build from an in-memory Result is one sort of the edge list (the
+// stream order is engine-dependent) plus a transient 12 bytes per edge;
+// the finished index is structurally identical to what Build produces on
+// the equivalent Result.
 func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*TrussIndex, error) {
 	type rec struct {
 		key uint64
@@ -89,6 +93,26 @@ func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*
 	}
 	ix := &TrussIndex{g: g, phi: phi, kmax: kmax}
 	ix.initArrays()
-	ix.buildLevels()
+	// buildLevels counts the triangles such an edge lies on only when
+	// there are levels to build; below that, look for one directly.
+	if ix.buildLevels(runtime.GOMAXPROCS(0)) > 0 || ix.kmax < 3 {
+		if e, ok := ix.classTwoTriangleEdge(); ok {
+			return nil, fmt.Errorf("index: stream gives edge %v truss number 2, but it lies on a triangle", e)
+		}
+	}
 	return ix, nil
+}
+
+// classTwoTriangleEdge returns the lowest-ID edge of truss number 2 that
+// lies on a triangle, if there is one.
+func (ix *TrussIndex) classTwoTriangleEdge() (graph.Edge, bool) {
+	for _, id := range ix.Class(2) {
+		e := ix.g.Edge(id)
+		found := false
+		triangle.ForEachOf(ix.g, e.U, e.V, func(_, _ int32) { found = true })
+		if found {
+			return e, true
+		}
+	}
+	return graph.Edge{}, false
 }

@@ -99,6 +99,10 @@ func TestBuildFromStreamRejectsCorruptStreams(t *testing.T) {
 		"duplicate-same-phi": {{1, 2, 3}, {1, 2, 3}},
 		"negative-phi":       {{1, 2, -1}},
 		"below-range-phi":    {{1, 2, 1}},
+		// A K4 at phi 4 next to a K5 whose edges all claim phi 2.
+		"phi-2-on-triangle": append(cliqueAt(4, 0, 1, 2, 3), cliqueAt(2, 30, 31, 32, 33, 34)...),
+		// The same with no level above 2 to build.
+		"phi-2-triangle-only": cliqueAt(2, 1, 2, 3),
 	}
 	for name, edges := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -147,4 +151,15 @@ func TestBuildFromStreamEmpty(t *testing.T) {
 	if _, ok := ix.TrussNumber(0, 1); ok {
 		t.Fatal("lookup on empty index found an edge")
 	}
+}
+
+// cliqueAt lists the edges of the clique on vs, each with truss number phi.
+func cliqueAt(phi int64, vs ...int64) [][3]int64 {
+	var es [][3]int64
+	for i := range vs {
+		for j := i + 1; j < len(vs); j++ {
+			es = append(es, [3]int64{vs[i], vs[j], phi})
+		}
+	}
+	return es
 }

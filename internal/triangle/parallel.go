@@ -8,6 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
+// Chunk is the default number of ranks per unit of work handed to a
+// ForEachChunked worker.
+const Chunk = 256
+
 // SupportsParallel computes sup(e) for every edge like Supports, fanning
 // the oriented intersection loop across workers. Triangle discovery is
 // embarrassingly parallel over source ranks; supports are accumulated with
@@ -33,53 +37,67 @@ func SupportsOriented(o *graph.Oriented, workers int) []int32 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := int32(len(o.Vert))
 	m := len(o.EID)
+	sup := make([]int32, m)
 	if m == 0 {
-		return make([]int32, 0)
+		return sup
 	}
 	if workers == 1 {
-		sup := make([]int32, m)
-		forEachOrientedRange(o, 0, n, func(e1, e2, e3 int32) {
+		ForEachOriented(o, func(e1, e2, e3 int32) {
 			sup[e1]++
 			sup[e2]++
 			sup[e3]++
 		})
 		return sup
 	}
-
 	asup := make([]atomic.Int32, m)
-	var next atomic.Int64
-	// Chunks follow ascending rank, so the heaviest out-lists (highest
-	// ranks) land in the last chunks where the dynamic counter balances
-	// them across whichever workers are free.
-	const chunk = 256
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int32(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				forEachOrientedRange(o, lo, hi, func(e1, e2, e3 int32) {
-					asup[e1].Add(1)
-					asup[e2].Add(1)
-					asup[e3].Add(1)
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	sup := make([]int32, m)
+	ForEachChunked(o, Chunk, workers, func(_, e1, e2, e3 int32) {
+		asup[e1].Add(1)
+		asup[e2].Add(1)
+		asup[e3].Add(1)
+	})
 	for i := range sup {
 		sup[i] = asup[i].Load()
 	}
 	return sup
+}
+
+// ForEachChunked lists every triangle of o exactly once, like
+// ForEachOriented, with the rank space cut into fixed chunks of size
+// ranks: chunk c covers the triangles rooted at ranks [c*size,
+// (c+1)*size), and fn receives c with each of them. Up to workers
+// goroutines claim chunks in ascending order; one goroutine runs a chunk
+// start to finish in ForEachOriented's order, so state kept per chunk
+// needs no synchronization, and concatenating the chunks' triangles in
+// chunk order gives the serial order for any worker count. Chunks follow
+// ascending rank, so the heaviest out-lists (highest ranks) land in the
+// last chunks, where the shared counter balances them across whichever
+// workers are free. workers <= 1 runs every chunk on the calling
+// goroutine.
+func ForEachChunked(o *graph.Oriented, size int32, workers int, fn func(c, e1, e2, e3 int32)) {
+	n := int32(len(o.Vert))
+	chunks := (n + size - 1) / size
+	run := func(c int32) {
+		lo := c * size
+		hi := min(lo+size, n)
+		forEachOrientedRange(o, lo, hi, func(e1, e2, e3 int32) { fn(c, e1, e2, e3) })
+	}
+	if workers <= 1 || chunks <= 1 {
+		for c := int32(0); c < chunks; c++ {
+			run(c)
+		}
+		return
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, int(chunks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := next.Add(1) - 1; c < chunks; c = next.Add(1) - 1 {
+				run(c)
+			}
+		}()
+	}
+	wg.Wait()
 }
