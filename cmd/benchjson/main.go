@@ -18,9 +18,9 @@
 // Compare mode prints a per-benchmark ratio table and flags entries slower
 // than the baseline by more than -threshold (default 1.5x). With -max-ratio
 // set it is a blocking gate: any common benchmark slower than the baseline
-// by more than that factor exits non-zero and fails the CI job. (The older
-// -fail-over spelling is kept as an alias.) Refresh BENCH_BASELINE.json as
-// described in the README when a deliberate change moves the numbers.
+// by more than that factor exits non-zero and fails the CI job. Refresh
+// BENCH_BASELINE.json as described in the README when a deliberate change
+// moves the numbers.
 //
 // Overhead mode gates one benchmark against another within the same
 // artifact — CI uses it to hold the instrumented serving handler within 5%
@@ -73,7 +73,6 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON artifact for -compare")
 	threshold := flag.Float64("threshold", 1.5, "report entries slower than baseline by this factor")
 	maxRatio := flag.Float64("max-ratio", 0, "blocking gate: exit non-zero when a ratio exceeds this factor (0 = never fail)")
-	failOver := flag.Float64("fail-over", 0, "deprecated alias for -max-ratio")
 	overhead := flag.String("overhead", "", "gate -num against -den within this JSON artifact instead of converting")
 	num := flag.String("num", "", "numerator benchmark name for -overhead")
 	den := flag.String("den", "", "denominator benchmark name for -overhead")
@@ -106,11 +105,7 @@ func main() {
 		if *baseline == "" {
 			fatal(fmt.Errorf("-compare requires -baseline"))
 		}
-		gate := *maxRatio
-		if gate == 0 {
-			gate = *failOver
-		}
-		if err := compareArtifacts(*compare, *baseline, *threshold, gate); err != nil {
+		if err := compareArtifacts(*compare, *baseline, *threshold, *maxRatio); err != nil {
 			fatal(err)
 		}
 		return
@@ -194,9 +189,9 @@ func readArtifact(path string) (map[string]Entry, error) {
 }
 
 // compareArtifacts prints a ratio table of pr against base and reports
-// regressions beyond threshold; ratios beyond failOver (if set) make the
+// regressions beyond threshold; ratios beyond maxRatio (if set) make the
 // comparison fail.
-func compareArtifacts(prPath, basePath string, threshold, failOver float64) error {
+func compareArtifacts(prPath, basePath string, threshold, maxRatio float64) error {
 	pr, err := readArtifact(prPath)
 	if err != nil {
 		return err
@@ -228,7 +223,7 @@ func compareArtifacts(prPath, basePath string, threshold, failOver float64) erro
 			mark = "  <-- regression"
 			regressions++
 		}
-		if failOver > 0 && ratio > failOver {
+		if maxRatio > 0 && ratio > maxRatio {
 			mark = "  <-- FAIL"
 			failures++
 		}
@@ -246,7 +241,7 @@ func compareArtifacts(prPath, basePath string, threshold, failOver float64) erro
 	}
 	fmt.Printf("%d/%d benchmarks above the %.2fx reporting threshold\n", regressions, len(names), threshold)
 	if failures > 0 {
-		return fmt.Errorf("%d benchmarks regressed beyond the %.2fx failure threshold", failures, failOver)
+		return fmt.Errorf("%d benchmarks regressed beyond the %.2fx failure threshold", failures, maxRatio)
 	}
 	return nil
 }

@@ -67,7 +67,6 @@ func serveMain(args []string) error {
 	ingestFlush := fs.Duration("ingest-flush-interval", 0, "ingestion flush window (0 = adaptive: flush whenever the queue drains)")
 	ingestBatch := fs.Int("ingest-max-batch", 0, "max mutations group-committed per flush (0 = default)")
 	ingestQueue := fs.Int("ingest-queue", 0, "per-graph ingestion queue depth; full queues block producers (0 = default)")
-	parallelCutoff := fs.Int("region-parallel-cutoff", 0, "region size (edges) at which re-peels go parallel (0 = default, negative = always serial)")
 	follow := fs.String("follow", "", "run as a read-only follower replicating from this primary base URL (requires -data-dir)")
 	replicaLagMax := fs.Uint64("replica-lag-max", 0, "versions a followed graph may trail the primary before /readyz reports not ready (with -follow; 0 = exactly caught up)")
 	replicaRefresh := fs.Duration("replica-refresh", 0, "manifest poll interval in follower mode (0 = 2s)")
@@ -77,7 +76,7 @@ func serveMain(args []string) error {
 		fmt.Fprintln(os.Stderr, "usage: trussd serve [-addr :8080] [-workers N] [-load name=path]... [-wait] [-data-dir dir]")
 		fmt.Fprintln(os.Stderr, "                    [-metrics] [-pprof] [-max-inflight N] [-access-log dest]")
 		fmt.Fprintln(os.Stderr, "                    [-read-header-timeout d] [-read-timeout d] [-idle-timeout d]")
-		fmt.Fprintln(os.Stderr, "                    [-ingest-flush-interval d] [-ingest-max-batch N] [-ingest-queue N] [-region-parallel-cutoff N]")
+		fmt.Fprintln(os.Stderr, "                    [-ingest-flush-interval d] [-ingest-max-batch N] [-ingest-queue N]")
 		fmt.Fprintln(os.Stderr, "                    [-follow primary-url] [-replica-lag-max N] [-replica-refresh d]")
 		fs.PrintDefaults()
 	}
@@ -110,7 +109,6 @@ func serveMain(args []string) error {
 		IngestFlushInterval:    *ingestFlush,
 		IngestMaxBatch:         *ingestBatch,
 		IngestMaxQueue:         *ingestQueue,
-		ParallelRegionCutoff:   *parallelCutoff,
 		Follow:                 *follow,
 	})
 	if *dataDir != "" {

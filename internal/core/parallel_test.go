@@ -16,7 +16,7 @@ func TestSupportsParallelMatchesSequential(t *testing.T) {
 		g := randomGraph(r, n, m)
 		want := triangle.Supports(g)
 		for _, workers := range []int{2, 4, 8} {
-			got := triangle.SupportsParallel(g, workers)
+			got := triangle.SupportsOriented(graph.BuildOrientedParallel(g, workers), workers)
 			if len(got) != len(want) {
 				t.Fatalf("len %d vs %d", len(got), len(want))
 			}
@@ -32,11 +32,11 @@ func TestSupportsParallelMatchesSequential(t *testing.T) {
 
 func TestSupportsParallelEdgeCases(t *testing.T) {
 	empty := graph.NewBuilder(0).Build()
-	if got := triangle.SupportsParallel(empty, 4); len(got) != 0 {
+	if got := triangle.SupportsOriented(graph.BuildOrientedParallel(empty, 4), 4); len(got) != 0 {
 		t.Fatal("empty graph should yield no supports")
 	}
 	one := graph.FromEdges([]graph.Edge{{U: 0, V: 1}})
-	if got := triangle.SupportsParallel(one, 0); len(got) != 1 || got[0] != 0 {
+	if got := triangle.SupportsOriented(graph.BuildOrientedParallel(one, 0), 0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single edge: %v", got)
 	}
 }

@@ -52,19 +52,20 @@ const pktSerialCutoff = 256
 // serially for the same reason.
 const pktScanCutoff = 1 << 14
 
-// DecomposePKT computes the same truss decomposition as Decompose with the
-// bulk-synchronous parallel peeling algorithm of Kabir & Madduri's PKT.
+// DecomposeParallel computes the same truss decomposition as Decompose on
+// multiple cores with the bulk-synchronous parallel peeling algorithm of
+// Kabir & Madduri's PKT. It is the engine behind truss.EngineParallel.
 // workers <= 0 selects GOMAXPROCS; workers == 1 falls back to the serial
 // bin-sort peel (same answers, no atomics).
-func DecomposePKT(g *graph.Graph, workers int) *Result {
-	r, _ := DecomposePKTCtx(context.Background(), g, workers, Hooks{})
+func DecomposeParallel(g *graph.Graph, workers int) *Result {
+	r, _ := DecomposeParallelCtx(context.Background(), g, workers, Hooks{})
 	return r
 }
 
-// DecomposePKTCtx is DecomposePKT with cancellation and observation. The
-// context is checked at every barrier (between sub-rounds and between
-// levels); hooks see each populated level and each sub-round. The only
-// possible error is ctx.Err().
+// DecomposeParallelCtx is DecomposeParallel with cancellation and
+// observation. The context is checked at every barrier (between
+// sub-rounds and between levels); hooks see each populated level and each
+// sub-round. The only possible error is ctx.Err().
 //
 // Structure per level k (support threshold k-2):
 //
@@ -87,7 +88,7 @@ func DecomposePKT(g *graph.Graph, workers int) *Result {
 // decremented. Each dying triangle therefore decrements each surviving
 // edge exactly once, so supports never double-decrement — the invariant
 // that makes the answers exactly Decompose's.
-func DecomposePKTCtx(ctx context.Context, g *graph.Graph, workers int, h Hooks) (*Result, error) {
+func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, workers int, h Hooks) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

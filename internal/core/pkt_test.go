@@ -12,7 +12,7 @@ import (
 func TestDecomposePKTPaperExample(t *testing.T) {
 	g := graph.FromEdges(fig2Edges())
 	for _, workers := range []int{0, 2, 3, 4, 8} {
-		checkAgainstFig2(t, "DecomposePKT", DecomposePKT(g, workers))
+		checkAgainstFig2(t, "DecomposeParallel", DecomposeParallel(g, workers))
 	}
 }
 
@@ -24,7 +24,7 @@ func TestDecomposePKTMatchesSequential(t *testing.T) {
 		g := randomGraph(r, n, m)
 		want := Decompose(g)
 		for _, workers := range []int{2, 4, 8} {
-			got := DecomposePKT(g, workers)
+			got := DecomposeParallel(g, workers)
 			if err := EqualResults(want, got); err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -53,7 +53,7 @@ func TestDecomposePKTDeepCascades(t *testing.T) {
 	}
 	g := graph.FromEdges(edges)
 	want := Decompose(g)
-	got := DecomposePKT(g, 8)
+	got := DecomposeParallel(g, 8)
 	if err := EqualResults(want, got); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDecomposePKTSkewedHub(t *testing.T) {
 	}
 	g := graph.FromEdges(edges)
 	want := Decompose(g)
-	got := DecomposePKT(g, 4)
+	got := DecomposeParallel(g, 4)
 	if err := EqualResults(want, got); err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +105,16 @@ func TestDecomposePKTSkewedHub(t *testing.T) {
 
 func TestDecomposePKTTrivial(t *testing.T) {
 	empty := graph.NewBuilder(0).Build()
-	if r := DecomposePKT(empty, 4); r.KMax != 0 {
+	if r := DecomposeParallel(empty, 4); r.KMax != 0 {
 		t.Fatal("empty graph")
 	}
 	// Triangle-free: everything peels at k=2 in one level.
 	path := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	if r := DecomposePKT(path, 4); r.KMax != 2 {
+	if r := DecomposeParallel(path, 4); r.KMax != 2 {
 		t.Fatalf("path kmax = %d", r.KMax)
 	}
 	tri := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	if r := DecomposePKT(tri, 4); r.KMax != 3 {
+	if r := DecomposeParallel(tri, 4); r.KMax != 3 {
 		t.Fatalf("triangle kmax = %d", r.KMax)
 	}
 	// A single k-clique is one k-class: exercises the empty-level jump
@@ -125,7 +125,7 @@ func TestDecomposePKTTrivial(t *testing.T) {
 			clique = append(clique, graph.Edge{U: i, V: j})
 		}
 	}
-	if r := DecomposePKT(graph.FromEdges(clique), 4); r.KMax != 9 {
+	if r := DecomposeParallel(graph.FromEdges(clique), 4); r.KMax != 9 {
 		t.Fatalf("K9 kmax = %d", r.KMax)
 	}
 }
@@ -134,7 +134,7 @@ func TestDecomposePKTCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := graph.FromEdges(fig2Edges())
-	if _, err := DecomposePKTCtx(ctx, g, 4, Hooks{}); err == nil {
+	if _, err := DecomposeParallelCtx(ctx, g, 4, Hooks{}); err == nil {
 		t.Fatal("pre-cancelled context should abort the run")
 	}
 }
@@ -154,7 +154,7 @@ func TestDecomposePKTHooks(t *testing.T) {
 			}
 		},
 	}
-	r, err := DecomposePKTCtx(context.Background(), g, 4, h)
+	r, err := DecomposeParallelCtx(context.Background(), g, 4, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPKTConcurrentPeelStress(t *testing.T) {
 		g := randomGraph(r, n, m)
 		want := Decompose(g)
 		for _, workers := range []int{4, 16} {
-			got := DecomposePKT(g, workers)
+			got := DecomposeParallel(g, workers)
 			if err := EqualResults(want, got); err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -207,7 +207,7 @@ func TestPKTConcurrentPeelStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if err := EqualResults(want, DecomposePKT(g, 4)); err != nil {
+				if err := EqualResults(want, DecomposeParallel(g, 4)); err != nil {
 					errc <- err
 					return
 				}

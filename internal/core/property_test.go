@@ -59,7 +59,7 @@ func TestPKTTrussInvariants(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		g := propertyGraphs(r, trial)
-		res := DecomposePKT(g, 2+trial%7)
+		res := DecomposeParallel(g, 2+trial%7)
 		m := g.NumEdges()
 
 		// Support within T_k: count triangles restricted to the truss.

@@ -25,7 +25,9 @@
 //  3. Re-peel only the region, seeded from the surviving truss numbers:
 //     edges outside the region are frozen at their old phi and
 //     participate in triangle counts only while the peeling level is at
-//     or below that phi (the k-level locality rule).
+//     or below that phi (the k-level locality rule). The re-peel is PKT's
+//     bulk-synchronous peel, which fans a phase out over Config.Workers
+//     only once it holds 256 items.
 //  4. Certify the frozen boundary against demotions: edge f with phi p is
 //     safe iff it still has >= p-2 triangles whose other two edges sit at
 //     phi >= p. Violated edges join the region and the peel repeats; the
@@ -46,6 +48,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -72,13 +76,8 @@ type Config struct {
 	// never fall back).
 	MaxRegionFraction float64
 	// Workers is handed to the parallel peeler on the fallback path and
-	// to the parallel region re-peel (0 = GOMAXPROCS).
+	// bounds the goroutines of the region re-peel (0 = GOMAXPROCS).
 	Workers int
-	// ParallelRegionCutoff is the region size (in edges) at or above
-	// which the affected-region re-peel runs on the PKT bulk-synchronous
-	// machinery instead of the serial cascade. 0 selects
-	// DefaultParallelRegionCutoff; negative disables parallel re-peel.
-	ParallelRegionCutoff int
 }
 
 func (c Config) maxRegionFraction() float64 {
@@ -86,16 +85,6 @@ func (c Config) maxRegionFraction() float64 {
 		return 0.25
 	}
 	return c.MaxRegionFraction
-}
-
-func (c Config) parallelRegionCutoff() int {
-	if c.ParallelRegionCutoff == 0 {
-		return DefaultParallelRegionCutoff
-	}
-	if c.ParallelRegionCutoff < 0 {
-		return 0 // disabled
-	}
-	return c.ParallelRegionCutoff
 }
 
 func (c Config) workers() int {
@@ -120,8 +109,9 @@ type Stats struct {
 	// FellBack reports that the region limit was hit and the decomposition
 	// was recomputed in full.
 	FellBack bool
-	// ParallelPeels counts region re-peels dispatched onto the parallel
-	// bulk-synchronous peeler (region size reached ParallelRegionCutoff).
+	// ParallelPeels counts region re-peels in which some phase ran on
+	// more than one goroutine (a phase fans out only at 256 items, and
+	// only when Workers > 1).
 	ParallelPeels int
 }
 
@@ -257,16 +247,12 @@ func Update(ctx context.Context, g *graph.Graph, phi []int32, batch Batch, cfg C
 		if len(region) > limit {
 			return fallback(ctx, g2, re, base, cfg, res)
 		}
-		var boundary []int32
-		var err error
-		if cut := cfg.parallelRegionCutoff(); cut > 0 && len(region) >= cut && cfg.workers() > 1 {
-			boundary, err = peelRegionParallel(ctx, g2, base, inR, region, phiNew, cfg.workers())
-			res.Stats.ParallelPeels++
-		} else {
-			boundary, err = peelRegion(ctx, g2, base, inR, region, phiNew)
-		}
+		boundary, fanned, err := peelRegion(ctx, g2, base, inR, region, phiNew, cfg.workers())
 		if err != nil {
 			return nil, err
+		}
+		if fanned {
+			res.Stats.ParallelPeels++
 		}
 		res.Stats.Boundary = len(boundary)
 		violated := checkBoundary(g2, base, inR, boundary, phiNew)
@@ -322,38 +308,107 @@ func maxPhi(phi []int32) int32 {
 	return k
 }
 
+// Region-peel lifecycle, one byte per region edge. Frozen (non-region)
+// edges never carry a state: their presence at stage k is decided by
+// base[f] >= k alone.
+const (
+	rpAlive uint8 = iota
+	rpFrontier
+	rpDead
+)
+
+const (
+	// rpSerialCutoff keeps a phase with fewer items on the calling
+	// goroutine: below it, fan-out costs more than it saves. The region of
+	// a single mutation (a few edges) therefore never leaves the caller.
+	rpSerialCutoff = 256
+	// rpChunk is the number of items a worker claims at a time.
+	rpChunk = 64
+)
+
 // peelRegion re-peels the region edges against a frozen boundary and
 // writes their exact truss numbers into phiNew (valid at region indexes
 // only). A frozen edge f participates in level-k triangle counts while
 // base[f] >= k — i.e. exactly while f belongs to T_k under the assumption
 // that its truss number did not change; checkBoundary certifies that
-// assumption afterwards. Returns the frozen edges that share a triangle
-// with the region (the certification set).
-func peelRegion(ctx context.Context, g2 *graph.Graph, base []int32, inR []bool, region []int32, phiNew []int32) ([]int32, error) {
+// assumption afterwards. It returns the frozen edges that share a
+// triangle with the region (the certification set), and whether any
+// phase ran on more than one goroutine.
+//
+// The peel is the bulk-synchronous PKT lifecycle of internal/core moved
+// onto region edges. Per stage k it retires the boundary edges frozen at
+// k-1, collects the frontier (alive region edges whose count fell below
+// k-2), and peels it in sub-rounds with atomic count decrements under
+// PKT's charging discipline: a triangle dies in the sub-round its first
+// frontier edge dies; one frontier edge decrements both surviving
+// partners, two co-frontier edges let the smaller ID charge the lone
+// survivor, three charge nothing. Each dying triangle therefore
+// decrements each survivor exactly once, so the stage-k death set, and
+// hence phiNew, is the same for every worker count and schedule. Stages
+// advance one k at a time: boundary retirements happen at every level,
+// so there is no empty-level jump.
+func peelRegion(ctx context.Context, g2 *graph.Graph, base []int32, inR []bool, region, phiNew []int32, workers int) ([]int32, bool, error) {
 	m2 := g2.NumEdges()
-	cnt := make([]int32, m2)  // live triangle count, region edges only
-	dead := make([]bool, m2)  // region edges removed by the peel
-	seenB := make([]bool, m2) // boundary membership
-	var boundary []int32
+	// cnt[e] is region edge e's live triangle count. The lifecycle never
+	// reads the slots of frozen edges, so the count phase claims boundary
+	// edges there (CAS 0 -> 1): each lands in exactly one worker's buffer.
+	cnt := make([]int32, m2)
+	// state changes only at barriers, or in the frontier scan by the one
+	// worker that owns the edge, so workers read it without atomics.
+	state := make([]uint8, m2)
+	bufs := make([][]int32, workers) // per-worker output, drained at each barrier
+	fanned := false
+
+	// fanOut runs fn(w, lo, hi) over [0, n) with workers claiming chunks
+	// of rpChunk items; w names the claiming worker's buffer. A small
+	// phase runs whole on the calling goroutine as worker 0.
+	fanOut := func(n int, fn func(w, lo, hi int)) {
+		if n < rpSerialCutoff || workers <= 1 {
+			fn(0, 0, n)
+			return
+		}
+		fanned = true
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, (n+rpChunk-1)/rpChunk); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for lo := int(next.Add(rpChunk) - rpChunk); lo < n; lo = int(next.Add(rpChunk) - rpChunk) {
+					fn(w, lo, min(lo+rpChunk, n))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// drain appends every worker's buffer to dst and empties them.
+	drain := func(dst []int32) []int32 {
+		for w := range bufs {
+			dst = append(dst, bufs[w]...)
+			bufs[w] = bufs[w][:0]
+		}
+		return dst
+	}
 
 	// Initial counts at level 3: every g2 triangle is present (T_2 is the
 	// whole graph). Boundary edges are collected along the way.
-	for _, e := range region {
-		ed := g2.Edge(e)
-		c := int32(0)
-		triangle.ForEachOf(g2, ed.U, ed.V, func(a, b int32) {
-			c++
-			if !inR[a] && !seenB[a] {
-				seenB[a] = true
-				boundary = append(boundary, a)
-			}
-			if !inR[b] && !seenB[b] {
-				seenB[b] = true
-				boundary = append(boundary, b)
-			}
-		})
-		cnt[e] = c
-	}
+	fanOut(len(region), func(w, lo, hi int) {
+		for _, e := range region[lo:hi] {
+			ed := g2.Edge(e)
+			c := int32(0)
+			triangle.ForEachOf(g2, ed.U, ed.V, func(a, b int32) {
+				c++
+				if !inR[a] && atomic.CompareAndSwapInt32(&cnt[a], 0, 1) {
+					bufs[w] = append(bufs[w], a)
+				}
+				if !inR[b] && atomic.CompareAndSwapInt32(&cnt[b], 0, 1) {
+					bufs[w] = append(bufs[w], b)
+				}
+			})
+			cnt[e] = c
+		}
+	})
+	boundary := drain(nil)
 
 	// Bucket boundary edges by the level at which they leave the truss
 	// hierarchy: f is present for T_k peeling while base[f] >= k, so it
@@ -363,90 +418,119 @@ func peelRegion(ctx context.Context, g2 *graph.Graph, base []int32, inR []bool, 
 		retire[base[f]] = append(retire[base[f]], f)
 	}
 
-	// present reports whether edge x is in the (approximate) T_k under
-	// construction at stage k.
-	present := func(x, k int32) bool {
-		if inR[x] {
-			return !dead[x]
+	// decRetire handles one region partner x of a triangle (f, x, y)
+	// whose boundary edge f retires at stage k: x's count drops iff the
+	// triangle was still standing and f is the partner charged with its
+	// demise.
+	decRetire := func(f, x, y, k int32) {
+		if !inR[x] || state[x] == rpDead {
+			return
 		}
-		return base[x] >= k
+		if inR[y] {
+			if state[y] == rpDead {
+				return // triangle already gone
+			}
+		} else {
+			if base[y] < k-1 {
+				return // triangle already gone
+			}
+			if base[y] == k-1 && f > y {
+				return // y retires in the same stage; the smaller ID charges
+			}
+		}
+		atomic.AddInt32(&cnt[x], -1)
+	}
+
+	// peel removes frontier edge e at stage k, assigning phi k-1. Every
+	// alive edge enters a sub-round with a count of at least k-2, and
+	// exactly one decrement takes it from k-2 to k-3: that decrement alone
+	// spills it into buf, the next sub-round's frontier.
+	peel := func(e, k int32, buf *[]int32) {
+		phiNew[e] = k - 1
+		present := func(x int32) bool {
+			if inR[x] {
+				return state[x] != rpDead
+			}
+			return base[x] >= k
+		}
+		frontier := func(x int32) bool { return inR[x] && state[x] == rpFrontier }
+		dec := func(x int32) {
+			if inR[x] && atomic.AddInt32(&cnt[x], -1) == k-3 {
+				*buf = append(*buf, x)
+			}
+		}
+		ed := g2.Edge(e)
+		triangle.ForEachOf(g2, ed.U, ed.V, func(a, b int32) {
+			if !present(a) || !present(b) {
+				return
+			}
+			aF, bF := frontier(a), frontier(b)
+			switch {
+			case !aF && !bF:
+				dec(a)
+				dec(b)
+			case aF && !bF:
+				if e < a {
+					dec(b)
+				}
+			case bF && !aF:
+				if e < b {
+					dec(a)
+				}
+				// default: all three dying; no survivor to charge.
+			}
+		})
 	}
 
 	alive := len(region)
-	var queue []int32
+	var cur []int32
 	for k := int32(3); alive > 0; k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		// Retire boundary edges whose frozen phi is k-1: they were in
-		// T_{k-1} but are not in T_k. Each triangle they carried decrements
-		// its surviving region partners exactly once — when two boundary
-		// edges of one triangle retire together, the smaller ID is charged.
-		for _, f := range retire[k-1] {
-			fd := g2.Edge(f)
-			triangle.ForEachOf(g2, fd.U, fd.V, func(a, b int32) {
-				decRetire(f, a, b, k, base, inR, dead, cnt)
-				decRetire(f, b, a, k, base, inR, dead, cnt)
-			})
-		}
-		// Cascade: remove region edges whose support fell below k-2, which
-		// assigns phi = k-1 (they are in T_{k-1}, not in T_k).
-		queue = queue[:0]
-		for _, e := range region {
-			if !dead[e] && cnt[e] < k-2 {
-				queue = append(queue, e)
+		// Retire boundary edges frozen at k-1: they were in T_{k-1} but
+		// are not in T_k. Each triangle they carried decrements its
+		// surviving region partners exactly once.
+		rs := retire[k-1]
+		fanOut(len(rs), func(_, lo, hi int) {
+			for _, f := range rs[lo:hi] {
+				fd := g2.Edge(f)
+				triangle.ForEachOf(g2, fd.U, fd.V, func(a, b int32) {
+					decRetire(f, a, b, k)
+					decRetire(f, b, a, k)
+				})
 			}
-		}
-		for len(queue) > 0 {
-			e := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if dead[e] || cnt[e] >= k-2 {
-				continue
+		})
+		// Collect the stage frontier: alive region edges whose support
+		// fell below k-2 are not in T_k.
+		fanOut(len(region), func(w, lo, hi int) {
+			for _, e := range region[lo:hi] {
+				if state[e] == rpAlive && cnt[e] < k-2 {
+					state[e] = rpFrontier
+					bufs[w] = append(bufs[w], e)
+				}
 			}
-			dead[e] = true
-			phiNew[e] = k - 1
-			alive--
-			ed := g2.Edge(e)
-			triangle.ForEachOf(g2, ed.U, ed.V, func(a, b int32) {
-				if !present(a, k) || !present(b, k) {
-					return
-				}
-				if inR[a] {
-					if cnt[a]--; cnt[a] < k-2 {
-						queue = append(queue, a)
-					}
-				}
-				if inR[b] {
-					if cnt[b]--; cnt[b] < k-2 {
-						queue = append(queue, b)
-					}
+		})
+		cur = drain(cur[:0])
+		// Sub-rounds: peel the frontier; at the barrier it turns dead and
+		// the spilled edges become the next frontier.
+		for len(cur) > 0 {
+			fanOut(len(cur), func(w, lo, hi int) {
+				for _, e := range cur[lo:hi] {
+					peel(e, k, &bufs[w])
 				}
 			})
+			alive -= len(cur)
+			for _, e := range cur {
+				state[e] = rpDead
+			}
+			cur = drain(cur[:0])
+			for _, e := range cur {
+				state[e] = rpFrontier
+			}
 		}
 	}
-	return boundary, nil
-}
-
-// decRetire handles one region partner x of a triangle (f, x, y) whose
-// boundary edge f retires at stage k: x's count drops iff the triangle
-// was still standing and f is the partner charged with its demise.
-func decRetire(f, x, y, k int32, base []int32, inR []bool, dead []bool, cnt []int32) {
-	if !inR[x] || dead[x] {
-		return
-	}
-	if inR[y] {
-		if dead[y] {
-			return // triangle already gone
-		}
-	} else {
-		if base[y] < k-1 {
-			return // triangle already gone
-		}
-		if base[y] == k-1 && f > y {
-			return // y retires in the same stage; the smaller ID charges
-		}
-	}
-	cnt[x]--
+	return boundary, fanned, nil
 }
 
 // checkBoundary certifies the frozen edges against the candidate

@@ -31,11 +31,14 @@ const streamCtxMask = 4095
 // edges are errors, not silently dropped — a decomposition that emits
 // them is corrupt, and dropping one of two conflicting phi values would
 // hide it. So is an edge with truss number 2 that lies on a triangle
-// (every edge of a triangle has truss number at least 3). Cost over
-// Build from an in-memory Result is one sort of the edge list (the
-// stream order is engine-dependent) plus a transient 12 bytes per edge;
-// the finished index is structurally identical to what Build produces on
-// the equivalent Result.
+// (every edge of a triangle has truss number at least 3), and a top class
+// kmax of fewer than kmax(kmax-1)/2 edges (a k-truss has at least k
+// vertices, each of degree at least k-1 inside it). That check runs
+// before anything is sized by kmax, so one edge cannot ask for a million
+// levels. Cost over Build from an in-memory Result is one sort of the
+// edge list (the stream order is engine-dependent) plus a transient 12
+// bytes per edge; the finished index is structurally identical to what
+// Build produces on the equivalent Result.
 func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*TrussIndex, error) {
 	type rec struct {
 		key uint64
@@ -70,7 +73,7 @@ func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*
 	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
 	edges := make([]graph.Edge, len(recs))
 	phi := make([]int32, len(recs))
-	kmax := int32(0)
+	kmax, top := int32(0), 0 // top counts the edges at kmax
 	n := numVertices
 	for i, r := range recs {
 		e := graph.EdgeFromKey(r.key)
@@ -81,11 +84,18 @@ func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*
 		edges[i] = e
 		phi[i] = r.phi
 		if r.phi > kmax {
-			kmax = r.phi
+			kmax, top = r.phi, 0
+		}
+		if r.phi == kmax {
+			top++
 		}
 		if int(e.V) >= n {
 			n = int(e.V) + 1
 		}
+	}
+	if k := int64(kmax); int64(top) < k*(k-1)/2 {
+		return nil, fmt.Errorf("index: stream gives %d edges truss number %d, but a %d-truss has at least %d edges",
+			top, kmax, kmax, k*(k-1)/2)
 	}
 	g, err := graph.FromCanonicalEdges(edges, n)
 	if err != nil {

@@ -103,6 +103,14 @@ func TestBuildFromStreamRejectsCorruptStreams(t *testing.T) {
 		"phi-2-on-triangle": append(cliqueAt(4, 0, 1, 2, 3), cliqueAt(2, 30, 31, 32, 33, 34)...),
 		// The same with no level above 2 to build.
 		"phi-2-triangle-only": cliqueAt(2, 1, 2, 3),
+		// Top classes too small to be a kmax-truss: one edge claiming a
+		// million levels, and a K4 with one edge raised to phi 5.
+		"huge-phi-single-edge": {{1, 2, 1_000_000}},
+		"phi-5-in-k4": func() [][3]int64 {
+			k4 := cliqueAt(4, 0, 1, 2, 3)
+			k4[0][2] = 5
+			return k4
+		}(),
 	}
 	for name, edges := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -185,12 +185,12 @@ truss_http_request_seconds_count{route="/healthz"} 3
 
 func TestParserRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"metric{a=b} 1\n",                 // unquoted label value
-		"# TYPE m counter\nm 1.5.3\n",     // unparseable value
-		"# TYPE m wat\nm 1\n",             // unknown type
-		"m{} 1\nm{} 2\n",                  // duplicate series
-		"# TYPE m histogram\nm_sum 1\n",   // histogram without _count
-		"# TYPE m counter\nm{a=\"x\"\n",   // unterminated sample
+		"metric{a=b} 1\n",               // unquoted label value
+		"# TYPE m counter\nm 1.5.3\n",   // unparseable value
+		"# TYPE m wat\nm 1\n",           // unknown type
+		"m{} 1\nm{} 2\n",                // duplicate series
+		"# TYPE m histogram\nm_sum 1\n", // histogram without _count
+		"# TYPE m counter\nm{a=\"x\"\n", // unterminated sample
 		"# TYPE m histogram\nm_bucket{le=\"1\"} 2\nm_bucket{le=\"+Inf\"} 1\nm_sum 1\nm_count 1\n", // non-monotonic buckets
 	}
 	for _, in := range bad {

@@ -106,11 +106,7 @@ func (s *Server) commit(ctx context.Context, e *Entry, version uint64, adds, del
 	start := time.Now()
 	res, err := dynamic.Update(ctx, e.Index.Graph(), e.Index.PhiView(),
 		dynamic.Batch{Adds: adds, Dels: dels},
-		dynamic.Config{
-			MaxRegionFraction:    s.opts.MaxRegionFraction,
-			Workers:              s.opts.Workers,
-			ParallelRegionCutoff: s.opts.ParallelRegionCutoff,
-		})
+		dynamic.Config{Workers: s.opts.Workers})
 	if err != nil {
 		return nil, nil, err
 	}

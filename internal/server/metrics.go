@@ -117,7 +117,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		maintRegion:   reg.Counter("truss_maintenance_region_edges_total", "Edges re-peeled inside affected regions."),
 		maintFallback: reg.Counter("truss_maintenance_fallbacks_total", "Maintenance batches that fell back to full recompute."),
 		maintParallel: reg.Counter("truss_maintenance_parallel_peels_total",
-			"Region re-peels dispatched onto the parallel bulk-synchronous peeler."),
+			"Region re-peels in which some phase ran on more than one goroutine."),
 
 		ingest: ingest.NewMetrics(reg),
 

@@ -108,14 +108,6 @@ type Options struct {
 	// this additionally guards against at-rest bit rot, trading away the
 	// O(1)-in-edge-count open time.
 	VerifySnapshots bool
-	// MaxRegionFraction is the incremental-maintenance fallback knob
-	// passed to dynamic.Update (0 selects its default).
-	MaxRegionFraction float64
-	// ParallelRegionCutoff is the affected-region size at which
-	// dynamic.Update re-peels on the parallel bulk-synchronous machinery
-	// instead of the serial cascade (0 selects the dynamic package
-	// default; negative disables parallel re-peel).
-	ParallelRegionCutoff int
 	// IngestFlushInterval is the ingestion pipeline's group-commit
 	// window. The default 0 is adaptive: a flush commits as soon as the
 	// queue goes empty, so a lone client sees per-request latency while

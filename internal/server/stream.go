@@ -55,10 +55,10 @@ type streamAck struct {
 	Submitted int    `json:"submitted,omitempty"`
 	Error     string `json:"error,omitempty"`
 
-	Done     bool   `json:"done,omitempty"`
-	Chunks   int    `json:"chunks,omitempty"`
-	Accepted int    `json:"accepted,omitempty"`
-	Failed   int    `json:"failed,omitempty"`
+	Done     bool `json:"done,omitempty"`
+	Chunks   int  `json:"chunks,omitempty"`
+	Accepted int  `json:"accepted,omitempty"`
+	Failed   int  `json:"failed,omitempty"`
 }
 
 // handleIngestStream serves the firehose.

@@ -12,24 +12,6 @@ import (
 // ForEachChunked worker.
 const Chunk = 256
 
-// SupportsParallel computes sup(e) for every edge like Supports, fanning
-// the oriented intersection loop across workers. Triangle discovery is
-// embarrassingly parallel over source ranks; supports are accumulated with
-// atomic adds. workers <= 0 selects GOMAXPROCS.
-func SupportsParallel(g *graph.Graph, workers int) []int32 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m := g.NumEdges()
-	if m == 0 {
-		return make([]int32, 0)
-	}
-	if workers == 1 {
-		return Supports(g)
-	}
-	return SupportsOriented(graph.BuildOrientedParallel(g, workers), workers)
-}
-
 // SupportsOriented computes sup(e) from a prebuilt degree-ordered view,
 // so callers that already paid for the view (the PKT core) don't build it
 // twice. workers <= 0 selects GOMAXPROCS; 1 runs serially without atomics.
