@@ -65,6 +65,11 @@ type TrussIndex struct {
 	// levels[k] holds the k-truss communities for k = 3..kmax; entries
 	// 0..2 are zero (T_2 imposes no triangle structure).
 	levels []level
+
+	// borrowed marks arrays that alias storage the index does not own
+	// (FromRawParts over a mapped file, which may be unmapped once the
+	// index is dropped): Patch copies what it would otherwise share.
+	borrowed bool
 }
 
 // level is the componentization of one k-truss into its triangle-connected

@@ -2,6 +2,7 @@ package index
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/dsu"
 	"repro/internal/graph"
@@ -26,7 +27,11 @@ import (
 // min-phi > kTouched — and with it the union-find snapshot of every level
 // above kTouched — is untouched: those tables are translated through the
 // remap (the remap preserves relative edge order, so grouping and
-// tie-breaking survive verbatim). Only levels 3..kTouched are
+// tie-breaking survive verbatim). Only their edge IDs change: each class
+// above kTouched keeps its size and ID order, hence every byPhi
+// position, so those levels share the receiver's offsets and
+// position-indexed community maps (copied when the receiver borrows a
+// mapped file's arrays). Only levels 3..kTouched are
 // re-componentized, and only from triangles at min-phi <= kTouched —
 // enumerated around the edges of those low classes, never the whole
 // graph — through the same sweep and snapshot as Build, seeded with the
@@ -72,21 +77,21 @@ func (ix *TrussIndex) patch(g *graph.Graph, phi []int32, kmax int32, re *graph.R
 
 	// Translate the untouched levels (kTouched+1 .. kmax). Every edge of
 	// old T_k for k > kTouched survived the batch with its truss number
-	// intact, so the community structure is identical modulo edge IDs.
+	// intact, so the community structure is identical modulo edge IDs,
+	// and commOff and commIdx carry over as they are.
 	for k := kTouched + 1; k <= kmax; k++ {
 		old := &ix.levels[k]
 		lv := level{
 			edgeOrder: make([]int32, len(old.edgeOrder)),
-			commOff:   append([]int32(nil), old.commOff...),
-			commIdx:   make([]int32, ix2.cnt[k]),
+			commOff:   old.commOff,
+			commIdx:   old.commIdx,
+		}
+		if ix.borrowed {
+			lv.commOff = slices.Clone(old.commOff)
+			lv.commIdx = slices.Clone(old.commIdx)
 		}
 		for i, oldID := range old.edgeOrder {
 			lv.edgeOrder[i] = re.OldToNew[oldID]
-		}
-		for c := 0; c+1 < len(lv.commOff); c++ {
-			for _, e := range lv.edgeOrder[lv.commOff[c]:lv.commOff[c+1]] {
-				lv.commIdx[ix2.pos[e]] = int32(c)
-			}
 		}
 		ix2.levels[k] = lv
 	}

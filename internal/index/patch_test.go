@@ -77,19 +77,36 @@ func TestPatchMatchesBuild(t *testing.T) {
 }
 
 // TestPatchNoOpBatch covers the all-untouched translation path (kTouched
-// stays at 2 when the batch only adds triangle-free edges).
+// stays at 2 when the batch only adds triangle-free edges). Above
+// kTouched a level's offsets and community map are the receiver's own
+// slices, except that a receiver borrowing its arrays (FromRawParts, as
+// over a mapped file that may be unmapped while the patched index lives)
+// has them copied.
 func TestPatchNoOpBatch(t *testing.T) {
 	g := gen.PaperExample()
 	phi := core.Decompose(g).Phi
-	ix := Build(&core.Result{G: g, Phi: phi, KMax: maxOf(phi)})
+	built := Build(&core.Result{G: g, Phi: phi, KMax: maxOf(phi)})
+	borrowed := FromRawParts(g, built.RawParts())
 	res, err := dynamic.Update(context.Background(), g, phi,
 		dynamic.Batch{Adds: []graph.Edge{{U: 50, V: 51}}}, dynamic.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := ix.Patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed)
 	fresh := Build(&core.Result{G: res.G, Phi: res.Phi, KMax: res.KMax})
-	sameIndex(t, patched, fresh)
+	for _, tc := range []struct {
+		name  string
+		ix    *TrussIndex
+		share bool
+	}{{"built", built, true}, {"borrowed", borrowed, false}} {
+		patched := tc.ix.Patch(res.G, res.Phi, res.KMax, res.Remap, res.Changed)
+		sameIndex(t, patched, fresh)
+		for k := int32(3); k <= res.KMax; k++ {
+			got, old := &patched.levels[k], &tc.ix.levels[k]
+			if &got.commIdx[0] == &old.commIdx[0] != tc.share || &got.commOff[0] == &old.commOff[0] != tc.share {
+				t.Fatalf("%s receiver, level %d: want shared tables = %v", tc.name, k, tc.share)
+			}
+		}
+	}
 }
 
 // TestPatchQueriesAgree drives the public query surface of a patched

@@ -53,7 +53,9 @@ func (ix *TrussIndex) RawParts() RawParts {
 // serve queries straight off a memory-mapped file. The arrays are
 // retained by reference and must not be modified afterwards; for a
 // mapped file they are read-only pages, which is safe because every
-// TrussIndex method only reads. Content is trusted: shape and checksum
+// TrussIndex method only reads. A mapping may be closed while an index
+// patched from this one lives on, so Patch copies these arrays where it
+// would share its own. Content is trusted: shape and checksum
 // validation is the indexfile layer's job.
 func FromRawParts(g *graph.Graph, p RawParts) *TrussIndex {
 	ix := &TrussIndex{
@@ -64,6 +66,8 @@ func FromRawParts(g *graph.Graph, p RawParts) *TrussIndex {
 		pos:   p.Pos,
 		cnt:   p.Cnt,
 		sizes: p.Sizes,
+
+		borrowed: true,
 	}
 	ix.levels = make([]level, len(p.Levels))
 	for k := range p.Levels {
