@@ -26,10 +26,10 @@ type Hooks struct {
 	// initial level 2). It runs on the decomposing goroutine and must be
 	// cheap.
 	OnLevel func(k int32)
-	// OnRound is invoked by the PKT engine at the start of each
-	// bulk-synchronous sub-round with the current level and frontier size.
-	// It runs on the coordinating goroutine and must be cheap. Serial
-	// engines never call it.
+	// OnRound is invoked by the PKT peel, full or restricted
+	// (PeelRegion), at the start of each bulk-synchronous sub-round with
+	// the current level and frontier size. It runs on the coordinating
+	// goroutine and must be cheap. Serial engines never call it.
 	OnRound func(k int32, frontier int)
 }
 

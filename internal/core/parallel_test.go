@@ -41,14 +41,6 @@ func TestSupportsParallelEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDecomposeParallelPaperExample(t *testing.T) {
-	g := graph.FromEdges(fig2Edges())
-	for _, workers := range []int{0, 2, 4, 8} {
-		r := DecomposeParallel(g, workers)
-		checkAgainstFig2(t, "DecomposeParallel", r)
-	}
-}
-
 func TestDecomposeParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -62,46 +54,5 @@ func TestDecomposeParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
 		}
-	}
-}
-
-func TestDecomposeParallelLargerGraph(t *testing.T) {
-	// A denser graph with deep cascades exercises multi-sub-round levels
-	// and the parallel dispatch path (frontiers above the serial cutoff).
-	r := rand.New(rand.NewSource(7))
-	var edges []graph.Edge
-	const n = 600
-	for i := 0; i < 12000; i++ {
-		edges = append(edges, graph.Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
-	}
-	// Overlay cliques for high truss classes.
-	for c := 0; c < 3; c++ {
-		base := uint32(c * 40)
-		for i := uint32(0); i < 20; i++ {
-			for j := i + 1; j < 20; j++ {
-				edges = append(edges, graph.Edge{U: base + i, V: base + j})
-			}
-		}
-	}
-	g := graph.FromEdges(edges)
-	want := Decompose(g)
-	got := DecomposeParallel(g, 8)
-	if err := EqualResults(want, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(got); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecomposeParallelTrivial(t *testing.T) {
-	empty := graph.NewBuilder(0).Build()
-	if r := DecomposeParallel(empty, 4); r.KMax != 0 {
-		t.Fatal("empty graph")
-	}
-	tri := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	r := DecomposeParallel(tri, 4)
-	if r.KMax != 3 {
-		t.Fatalf("triangle kmax = %d", r.KMax)
 	}
 }

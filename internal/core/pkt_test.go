@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -136,6 +139,83 @@ func TestDecomposePKTCancellation(t *testing.T) {
 	g := graph.FromEdges(fig2Edges())
 	if _, err := DecomposeParallelCtx(ctx, g, 4, Hooks{}); err == nil {
 		t.Fatal("pre-cancelled context should abort the run")
+	}
+}
+
+// TestPKTCancelMidRun cancels from inside the peel, through OnRound, once
+// for a full run and once for a restricted run, and requires the run to
+// stop at its next poll: context.Canceled, a nil result, and no hook call
+// after the cancel. Each run is cancelled twice: in a round that its level
+// follows with another round, which only the per-round poll stops before
+// that round, and in the last round of a level that is not the last, which
+// only the per-level poll stops before the next level.
+func TestPKTCancelMidRun(t *testing.T) {
+	g := gen.WithPlantedCliques(gen.RMAT(9, 8, 0.57, 0.19, 0.19, 5), []int{24, 16}, 5)
+	exact := Decompose(g).Phi
+	var region []int32
+	for e := int32(0); e < int32(g.NumEdges()); e += 2 {
+		region = append(region, e)
+	}
+	runs := []struct {
+		name string
+		run  func(ctx context.Context, h Hooks) (bool, error)
+	}{
+		{"full", func(ctx context.Context, h Hooks) (bool, error) {
+			r, err := DecomposeParallelCtx(ctx, g, 4, h)
+			return r != nil, err
+		}},
+		{"restricted", func(ctx context.Context, h Hooks) (bool, error) {
+			boundary, _, err := PeelRegion(ctx, g, slices.Clone(exact), region, 4, h)
+			return boundary != nil, err
+		}},
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			var levels []int32 // level of each round of an uncancelled run
+			if _, err := tc.run(context.Background(), Hooks{OnRound: func(k int32, _ int) { levels = append(levels, k) }}); err != nil {
+				t.Fatal(err)
+			}
+			within, across := -1, -1
+			for i := 1; i+1 < len(levels); i++ {
+				if within < 0 && levels[i+1] == levels[i] {
+					within = i
+				}
+				if across < 0 && levels[i+1] != levels[i] {
+					across = i
+				}
+			}
+			if within < 0 || across < 0 {
+				t.Fatalf("rounds by level %v have no cancellation point of each kind", levels)
+			}
+			for _, at := range []int{within, across} {
+				ctx, cancel := context.WithCancel(context.Background())
+				round, late := 0, 0
+				h := Hooks{
+					OnLevel: func(int32) {
+						if ctx.Err() != nil {
+							late++
+						}
+					},
+					OnRound: func(int32, int) {
+						if ctx.Err() != nil {
+							late++
+						}
+						if round == at {
+							cancel()
+						}
+						round++
+					},
+				}
+				nonNil, err := tc.run(ctx, h)
+				cancel()
+				if !errors.Is(err, context.Canceled) || nonNil {
+					t.Errorf("cancelled in round %d: err %v, non-nil result %v", at, err, nonNil)
+				}
+				if late > 0 {
+					t.Errorf("cancelled in round %d: %d hook calls after the cancel", at, late)
+				}
+			}
+		})
 	}
 }
 

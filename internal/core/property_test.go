@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/triangle"
 )
 
 // propertyGraphs yields the generator mix the truss-invariant property
@@ -112,6 +117,110 @@ func TestPKTTrussInvariants(t *testing.T) {
 		}
 		if err := EqualResults(DecomposeNaive(g), res); err != nil {
 			t.Fatalf("trial %d vs naive oracle: %v", trial, err)
+		}
+	}
+}
+
+// TestPeelRegionKeepsExactPhi property-checks the restricted run: when phi
+// is the exact decomposition of g, re-peeling any region against the rest
+// frozen at phi must give phi back on the region, whatever the region held
+// on entry, and report as boundary exactly the frozen edges that share a
+// triangle with it, once each. A boundary edge that left a level early or
+// late, or charged a triangle twice, would move some region edge's number.
+// The every-edge region must also equal DecomposeParallel. On the
+// planted-K48 RMAT graph the half region fans out every phase: the count
+// phase, the frontiers, and the first frontier of level 48, where some
+// 560 boundary edges of the clique leave.
+func TestPeelRegionKeepsExactPhi(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	type input struct {
+		name   string
+		g      *graph.Graph
+		fanOut bool
+	}
+	inputs := []input{{"fig2", graph.FromEdges(fig2Edges()), false}}
+	for trial := 0; trial < 6; trial++ {
+		inputs = append(inputs, input{fmt.Sprintf("property-%d", trial), propertyGraphs(r, trial), false})
+	}
+	inputs = append(inputs, input{"rmat-k48", gen.WithPlantedCliques(gen.RMAT(10, 8, 0.57, 0.19, 0.19, 71), []int{48}, 71), true})
+
+	for _, in := range inputs {
+		g, m := in.g, in.g.NumEdges()
+		exact := Decompose(g).Phi
+		perm := r.Perm(m)
+		pick := func(n int) []int32 {
+			out := make([]int32, n)
+			for i := range out {
+				out[i] = int32(perm[i])
+			}
+			return out
+		}
+		regions := []struct {
+			name  string
+			edges []int32
+		}{{"empty", nil}, {"one", pick(1)}, {"10%", pick(m / 10)}, {"50%", pick(m / 2)}, {"all", pick(m)}}
+		for _, rg := range regions {
+			inR := make([]bool, m)
+			for _, e := range rg.edges {
+				inR[e] = true
+			}
+			var want []int32
+			seen := make([]bool, m)
+			for _, e := range rg.edges {
+				ed := g.Edge(e)
+				triangle.ForEachOf(g, ed.U, ed.V, func(a, b int32) {
+					for _, f := range [2]int32{a, b} {
+						if !inR[f] && !seen[f] {
+							seen[f] = true
+							want = append(want, f)
+						}
+					}
+				})
+			}
+			slices.Sort(want)
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s, %s region, %d workers", in.name, rg.name, workers)
+				phi := slices.Clone(exact)
+				for _, e := range rg.edges {
+					phi[e] = 0
+				}
+				peak := 0
+				h := Hooks{OnRound: func(_ int32, n int) { peak = max(peak, n) }}
+				boundary, fanned, err := PeelRegion(context.Background(), g, phi, rg.edges, workers, h)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for e := range phi {
+					if phi[e] != exact[e] {
+						t.Fatalf("%s: edge %v (in region %v) got phi %d, want %d", name, g.Edge(int32(e)), inR[e], phi[e], exact[e])
+					}
+				}
+				got := slices.Sorted(slices.Values(boundary))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: boundary %v, want %v", name, got, want)
+				}
+				if rg.name == "all" {
+					if err := EqualResults(DecomposeParallel(g, workers), &Result{G: g, Phi: phi, KMax: slices.Max(phi)}); err != nil {
+						t.Fatalf("%s vs DecomposeParallel: %v", name, err)
+					}
+				}
+				if in.fanOut && rg.name == "50%" {
+					perLevel := map[int32]int{}
+					for _, f := range boundary {
+						perLevel[exact[f]]++
+					}
+					retire := 0
+					for _, n := range perLevel {
+						retire = max(retire, n)
+					}
+					if len(rg.edges) < 256 || peak < 256 || retire < 256 {
+						t.Fatalf("%s: region %d, peak frontier %d, largest retirement %d: a phase no longer reaches the fan-out size", name, len(rg.edges), peak, retire)
+					}
+					if fanned != (workers > 1) {
+						t.Fatalf("%s: fanned = %v", name, fanned)
+					}
+				}
+			}
 		}
 	}
 }

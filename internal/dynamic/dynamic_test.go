@@ -209,3 +209,56 @@ func TestUpdateFromEmpty(t *testing.T) {
 		g, phi = res.G, res.Phi
 	}
 }
+
+// FuzzUpdate holds Update to a fresh decomposition on fuzzed inputs. The
+// first byte picks Workers 1-4; each following byte pair (a, b) is an edge
+// on 32 vertices (a%32, b%32) whose role a/32 picks: 0-3 a graph edge, 4-5
+// an insertion, 6-7 a deletion. MaxRegionFraction 2 keeps Update off the
+// fallback, so every input runs the restricted peel.
+func FuzzUpdate(f *testing.F) {
+	enc := func(workers byte, graphEdges, adds, dels []graph.Edge) []byte {
+		b := []byte{workers}
+		for role, es := range [][]graph.Edge{graphEdges, adds, dels} {
+			for _, e := range es {
+				b = append(b, byte(e.U)|[3]byte{0, 4 << 5, 6 << 5}[role], byte(e.V))
+			}
+		}
+		return b
+	}
+	paper := gen.PaperExample().Edges()
+	f.Add(enc(0, paper, []graph.Edge{{U: 8, V: 9}, {U: 10, V: 11}}, paper[20:22]))
+	var clique []graph.Edge
+	for u := uint32(0); u < 8; u++ {
+		for v := u + 1; v < 8; v++ {
+			clique = append(clique, graph.Edge{U: u, V: v})
+		}
+	}
+	planted := append(gen.ErdosRenyi(32, 60, 3).Edges(), clique...)
+	f.Add(enc(3, planted, []graph.Edge{{U: 0, V: 20}, {U: 1, V: 20}}, clique[:3]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		workers := 1 + int(data[0]%4)
+		var edges []graph.Edge
+		var batch Batch
+		for i := 1; i+2 <= len(data); i += 2 {
+			e := graph.Edge{U: uint32(data[i] % 32), V: uint32(data[i+1] % 32)}
+			switch data[i] / 32 {
+			case 0, 1, 2, 3:
+				edges = append(edges, e)
+			case 4, 5:
+				batch.Adds = append(batch.Adds, e)
+			default:
+				batch.Dels = append(batch.Dels, e)
+			}
+		}
+		g := graph.FromEdges(edges)
+		phi := core.Decompose(g).Phi
+		res, err := Update(context.Background(), g, phi, batch, Config{MaxRegionFraction: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExact(t, res, phi)
+	})
+}

@@ -38,23 +38,6 @@ func BenchmarkEdgeID(b *testing.B) {
 	}
 }
 
-func BenchmarkNeighborhoodSubgraph(b *testing.B) {
-	g := FromEdges(benchEdges(10000, 100000, 1))
-	u := NewVertexSet(g.NumVertices())
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		u.Add(uint32(r.Intn(g.NumVertices())))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sg := NeighborhoodSubgraph(g, u)
-		if sg.NumEdges() == 0 {
-			b.Fatal("empty NS")
-		}
-	}
-}
-
 func BenchmarkConnectedComponents(b *testing.B) {
 	g := FromEdges(benchEdges(10000, 30000, 1))
 	b.ResetTimer()

@@ -1,11 +1,9 @@
 package graph
 
-// This file implements subgraph extraction, most importantly the
-// neighborhood subgraph NS(U) of Definition 4: the subgraph whose edges are
-// all edges of G incident to at least one vertex of U. Edges with both
-// endpoints in U are "internal"; edges with exactly one endpoint in U are
-// "external". The external-memory algorithms compute exact supports and
-// local truss numbers on internal edges only.
+// This file implements vertex sets and subgraph extraction: subgraphs
+// induced by a vertex set or an edge set, and connected components. The
+// external-memory algorithms build their neighborhood subgraphs NS(U) of
+// Definition 4 from spooled edge records instead (embu.buildSubgraph).
 
 import "math/bits"
 
@@ -73,68 +71,6 @@ func (s *VertexSet) ForEach(fn func(v uint32)) {
 			w ^= b
 		}
 	}
-}
-
-// Subgraph is a graph extracted from a parent, carrying the classification
-// of its edges as internal or external relative to the extraction set U.
-type Subgraph struct {
-	*Graph
-	// Internal[id] reports whether edge id (in the subgraph's own ID space)
-	// has both endpoints in U.
-	Internal []bool
-	// ParentEdge maps the subgraph edge ID to the parent's edge (canonical).
-	ParentEdge []Edge
-}
-
-// NeighborhoodSubgraph extracts NS(U) from g: all edges with at least one
-// endpoint in U. Vertex IDs are preserved (no relabeling), which keeps the
-// implementation simple and matches the paper's presentation; the memory
-// cost is O(n/8) for bitsets plus the extracted edges.
-func NeighborhoodSubgraph(g *Graph, u *VertexSet) *Subgraph {
-	var picked []Edge
-	for v := 0; v < g.NumVertices(); v++ {
-		if !u.Contains(uint32(v)) {
-			continue
-		}
-		nbrs := g.Neighbors(uint32(v))
-		for _, w := range nbrs {
-			// Take the edge exactly once: from its lower endpoint if both
-			// are in U, otherwise from the single endpoint in U.
-			if uint32(v) < w || !u.Contains(w) {
-				picked = append(picked, Edge{uint32(v), w}.Canon())
-			}
-		}
-	}
-	return subgraphFromEdges(picked, u, g.NumVertices())
-}
-
-// NeighborhoodSubgraphFromEdges builds NS(U) from a raw edge list (e.g. a
-// disk-resident residual graph) without materializing the full parent graph.
-// Every input edge incident to U is included.
-func NeighborhoodSubgraphFromEdges(edges []Edge, u *VertexSet, n int) *Subgraph {
-	var picked []Edge
-	for _, e := range edges {
-		if u.Contains(e.U) || u.Contains(e.V) {
-			picked = append(picked, e.Canon())
-		}
-	}
-	return subgraphFromEdges(picked, u, n)
-}
-
-func subgraphFromEdges(picked []Edge, u *VertexSet, n int) *Subgraph {
-	g := FromEdges(picked)
-	// FromEdges caps n at maxID+1; that is fine since membership checks use
-	// the original IDs.
-	sg := &Subgraph{
-		Graph:      g,
-		Internal:   make([]bool, g.NumEdges()),
-		ParentEdge: make([]Edge, g.NumEdges()),
-	}
-	for id, e := range g.Edges() {
-		sg.Internal[id] = u.Contains(e.U) && u.Contains(e.V)
-		sg.ParentEdge[id] = e
-	}
-	return sg
 }
 
 // InducedSubgraph returns the subgraph of g induced by the vertex set u:

@@ -47,9 +47,7 @@ func TestVertexSetBasics(t *testing.T) {
 	}
 }
 
-// paperFigure3Partition reproduces Example 3: partition of the Figure 2
-// graph into P1={a,b,c,l}, P2={d,e,f,g}, P3={h,i,j,k} with vertices
-// a=0..l=11.
+// fig2Edges is the graph of the paper's Figure 2, with vertices a=0..l=11.
 func fig2Edges() []Edge {
 	// Exact edge set of Figure 2 reconstructed from the listed k-classes.
 	return []Edge{
@@ -61,59 +59,6 @@ func fig2Edges() []Edge {
 		{5, 7}, {5, 8}, {5, 9}, {7, 8}, {7, 9}, {8, 9},
 		// Phi5
 		{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4},
-	}
-}
-
-func TestNeighborhoodSubgraphPaperExample(t *testing.T) {
-	g := FromEdges(fig2Edges())
-	if g.NumEdges() != 26 {
-		t.Fatalf("figure 2 graph has %d edges, want 26", g.NumEdges())
-	}
-	p1 := NewVertexSet(g.NumVertices())
-	for _, v := range []uint32{0, 1, 2, 11} { // a,b,c,l
-		p1.Add(v)
-	}
-	ns := NeighborhoodSubgraph(g, p1)
-	// Internal edges of NS(P1): (a,b),(a,c),(b,c) i.e. within {0,1,2,11}.
-	internal := 0
-	for id := range ns.Edges() {
-		if ns.Internal[id] {
-			internal++
-		}
-	}
-	if internal != 3 {
-		t.Fatalf("NS(P1) internal edges = %d, want 3", internal)
-	}
-	// All edges incident to P1 must be present: degrees of a,b,c = 4 each,
-	// l has 2 -> edges incident = 4+4+4+2 - 3 (internal double count) = 11.
-	if ns.NumEdges() != 11 {
-		t.Fatalf("NS(P1) edges = %d, want 11", ns.NumEdges())
-	}
-	for id, e := range ns.Edges() {
-		if !p1.Contains(e.U) && !p1.Contains(e.V) {
-			t.Fatalf("edge %v not incident to P1", e)
-		}
-		if ns.Internal[id] != (p1.Contains(e.U) && p1.Contains(e.V)) {
-			t.Fatalf("internal flag wrong for %v", e)
-		}
-	}
-}
-
-func TestNeighborhoodSubgraphFromEdges(t *testing.T) {
-	edges := fig2Edges()
-	g := FromEdges(edges)
-	u := NewVertexSet(g.NumVertices())
-	u.Add(5) // f
-	u.Add(7) // h
-	a := NeighborhoodSubgraph(g, u)
-	b := NeighborhoodSubgraphFromEdges(edges, u, g.NumVertices())
-	if a.NumEdges() != b.NumEdges() {
-		t.Fatalf("mismatch: %d vs %d edges", a.NumEdges(), b.NumEdges())
-	}
-	for _, e := range a.Edges() {
-		if !b.HasEdge(e.U, e.V) {
-			t.Fatalf("edge %v missing from edge-list variant", e)
-		}
 	}
 }
 

@@ -32,15 +32,11 @@ func SupportsOriented(o *graph.Oriented, workers int) []int32 {
 		})
 		return sup
 	}
-	asup := make([]atomic.Int32, m)
 	ForEachChunked(o, Chunk, workers, func(_, e1, e2, e3 int32) {
-		asup[e1].Add(1)
-		asup[e2].Add(1)
-		asup[e3].Add(1)
+		atomic.AddInt32(&sup[e1], 1)
+		atomic.AddInt32(&sup[e2], 1)
+		atomic.AddInt32(&sup[e3], 1)
 	})
-	for i := range sup {
-		sup[i] = asup[i].Load()
-	}
 	return sup
 }
 
