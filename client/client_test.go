@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,8 @@ import (
 
 	truss "repro"
 	"repro/client"
+	"repro/internal/gen"
+	"repro/internal/server"
 )
 
 func newClient(t *testing.T, url string, opts ...client.Option) *client.Client {
@@ -253,5 +257,63 @@ func TestNetworkErrorsAreRetried(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3 attempts") {
 		t.Fatalf("err = %v, want mention of 3 attempts", err)
+	}
+}
+
+// TestLoadEdgesAndLoadPath registers graphs through the client against
+// the real server: an inline edge list and a server-side SNAP file must
+// both build to what a fresh Run computes, and a missing file must be
+// refused with a 400.
+func TestLoadEdgesAndLoadPath(t *testing.T) {
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	c := newClient(t, ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	g := gen.PaperExample()
+	d, err := truss.Run(ctx, truss.FromGraph(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := truss.AsInMemory(d)
+
+	if err := c.LoadEdges(ctx, "inline", g.Edges()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitReady(ctx, "inline"); err != nil {
+		t.Fatal(err)
+	}
+	for id, e := range g.Edges() {
+		k, ok, err := c.Graph("inline").TrussNumber(ctx, e.U, e.V)
+		if err != nil || !ok || k != want.Phi[id] {
+			t.Fatalf("TrussNumber%v = (%d, %v, %v), want %d", e, k, ok, err, want.Phi[id])
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := truss.SaveGraph(path, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadPath(ctx, "file", path); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitReady(ctx, "file"); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := c.Graph("file").Histogram(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hist, d.Histogram()) {
+		t.Fatalf("Histogram = %v, want %v", hist, d.Histogram())
+	}
+
+	err = c.LoadPath(ctx, "missing", filepath.Join(t.TempDir(), "absent.txt"))
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("LoadPath(missing file) = %v, want an APIError with status 400", err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +56,12 @@ func indexBuild(args []string) error {
 		return err
 	}
 	start := time.Now()
-	ix := truss.BuildIndex(truss.Decompose(g))
+	d, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		return err
+	}
+	res, _ := truss.AsInMemory(d)
+	ix := truss.BuildIndex(res)
 	buildDur := time.Since(start)
 	start = time.Now()
 	if err := truss.WriteIndexFile(*out, ix, *source); err != nil {

@@ -41,8 +41,8 @@ type Decomposition interface {
 	// Update applies a batch of edge insertions and deletions and
 	// maintains the decomposition incrementally: only the affected region
 	// is re-peeled (with a full recompute fallback when the region grows
-	// past the WithMaxRegion fraction), and the result is exactly what a
-	// fresh Run over the mutated graph would produce. Supported by the
+	// past a quarter of the graph's edges), and the result is exactly what
+	// a fresh Run over the mutated graph would produce. Supported by the
 	// in-memory engines (use Open to guarantee it); the external and
 	// MapReduce engines return ErrUpdateUnsupported. Update replaces the
 	// decomposition in place — results previously unwrapped with
@@ -106,10 +106,9 @@ func AsMapReduce(d Decomposition) (*MapReduceResult, bool) {
 type inmemDecomposition struct {
 	eng Engine
 	res *core.Result
-	// maxRegion and workers configure incremental maintenance (set from
-	// WithMaxRegion / WithWorkers at Run time).
-	maxRegion float64
-	workers   int
+	// workers bounds incremental maintenance (set from WithWorkers at Run
+	// time).
+	workers int
 }
 
 func (d *inmemDecomposition) Engine() Engine   { return d.eng }
@@ -121,7 +120,7 @@ func (d *inmemDecomposition) Close() error     { return nil }
 func (d *inmemDecomposition) Update(ctx context.Context, adds, dels []Edge) (*UpdateStats, error) {
 	res, err := dynamic.Update(ctx, d.res.G, d.res.Phi,
 		dynamic.Batch{Adds: adds, Dels: dels},
-		dynamic.Config{MaxRegionFraction: d.maxRegion, Workers: d.workers})
+		dynamic.Config{Workers: d.workers})
 	if err != nil {
 		return nil, err
 	}

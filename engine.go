@@ -95,16 +95,15 @@ type Option func(*runConfig)
 
 // runConfig is the resolved option set of one Run.
 type runConfig struct {
-	engine    Engine
-	budget    int64
-	strategy  PartitionStrategy
-	seed      int64
-	topT      int
-	workers   int
-	tempDir   string
-	stats     *IOStats
-	progress  func(Progress)
-	maxRegion float64
+	engine   Engine
+	budget   int64
+	strategy PartitionStrategy
+	seed     int64
+	topT     int
+	workers  int
+	tempDir  string
+	stats    *IOStats
+	progress func(Progress)
 
 	// statsReadBase/statsWriteBase snapshot the (cumulative, possibly
 	// shared across runs) IOStats counters at Run entry, so the metrics
@@ -135,18 +134,11 @@ func WithSeed(seed int64) Option { return func(c *runConfig) { c.seed = seed } }
 // classes). Other engines ignore it.
 func WithTopT(t int) Option { return func(c *runConfig) { c.topT = t } }
 
-// WithWorkers sets EngineParallel's worker count (0 = GOMAXPROCS). Other
-// engines ignore it.
+// WithWorkers sets the worker count (0 = GOMAXPROCS) of EngineParallel's
+// peel and of Decomposition.Update on any in-memory engine's result, where
+// it bounds the goroutines of the region re-peel and of the full recompute
+// that Update falls back to. The external and MapReduce engines ignore it.
 func WithWorkers(n int) Option { return func(c *runConfig) { c.workers = n } }
-
-// WithMaxRegion bounds incremental maintenance (Decomposition.Update,
-// truss.Open): when a mutation's affected region exceeds this fraction of
-// the graph's edges, the update falls back to a full recompute. 0 selects
-// the default (0.25); values >= 1 never fall back. Engines without
-// incremental maintenance ignore it.
-func WithMaxRegion(fraction float64) Option {
-	return func(c *runConfig) { c.maxRegion = fraction }
-}
 
 // WithTempDir sets the directory for spools and sort runs of the external
 // engines (default os.TempDir()).

@@ -36,9 +36,10 @@ func ExampleRun() {
 	// |Phi_4| = 6
 }
 
-// ExampleDecompose decomposes a small graph: a 4-clique with a pendant
-// triangle hanging off it.
-func ExampleDecompose() {
+// ExampleAsInMemory decomposes a small graph, a 4-clique with a pendant
+// triangle hanging off it, and unwraps the in-memory Result to list its
+// k-classes.
+func ExampleAsInMemory() {
 	b := truss.NewBuilder(8)
 	// 4-clique on 0..3.
 	b.AddEdge(0, 1)
@@ -53,7 +54,11 @@ func ExampleDecompose() {
 	b.AddEdge(3, 5)
 	g := b.Build()
 
-	res := truss.Decompose(g)
+	d, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _ := truss.AsInMemory(d)
 	fmt.Println("kmax:", res.KMax)
 	for k := int32(3); k <= res.KMax; k++ {
 		fmt.Printf("|Phi_%d| = %d\n", k, len(res.Class(k)))
@@ -70,7 +75,11 @@ func ExampleResult_Truss() {
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, // triangle
 		{U: 2, V: 3}, // tail
 	})
-	res := truss.Decompose(g)
+	d, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _ := truss.AsInMemory(d)
 	t3 := res.Truss(3)
 	fmt.Println("3-truss edges:", t3.NumEdges())
 	fmt.Println("tail kept:", t3.HasEdge(2, 3))
@@ -90,7 +99,11 @@ func ExampleCommunities() {
 		}
 	}
 	b.AddEdge(4, 10) // bridge
-	res := truss.Decompose(b.Build())
+	d, err := truss.Run(context.Background(), truss.FromGraph(b.Build()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _ := truss.AsInMemory(d)
 	comms := truss.Communities(res, 4)
 	fmt.Println("communities:", len(comms))
 	fmt.Println("sizes:", len(comms[0].Vertices), len(comms[1].Vertices))
@@ -115,7 +128,12 @@ func ExampleBuildIndex() {
 	b.AddEdge(4, 5)
 	b.AddEdge(3, 5)
 
-	ix := truss.BuildIndex(truss.Decompose(b.Build()))
+	d, err := truss.Run(context.Background(), truss.FromGraph(b.Build()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _ := truss.AsInMemory(d)
+	ix := truss.BuildIndex(res)
 	k, _ := ix.TrussNumber(0, 1) // clique edge
 	fmt.Println("phi(0,1):", k)
 	k, _ = ix.TrussNumber(3, 4) // pendant-triangle edge
@@ -181,7 +199,12 @@ func ExampleIndex_CommunityOf() {
 		}
 	}
 	b.AddEdge(4, 10) // bridge
-	ix := truss.BuildIndex(truss.Decompose(b.Build()))
+	d, err := truss.Run(context.Background(), truss.FromGraph(b.Build()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _ := truss.AsInMemory(d)
+	ix := truss.BuildIndex(res)
 
 	edges, ok := ix.CommunityOf(0, 1, 4)
 	fmt.Println("community of (0,1):", len(edges), "edges over", len(ix.Vertices(edges)), "vertices")
@@ -204,8 +227,12 @@ func ExampleCoreDecompose() {
 		b.AddEdge(i, (i+1)%6)
 	}
 	g := b.Build()
+	d, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("cmax:", truss.CoreDecompose(g).CMax)
-	fmt.Println("kmax:", truss.Decompose(g).KMax)
+	fmt.Println("kmax:", d.KMax())
 	// Output:
 	// cmax: 2
 	// kmax: 2

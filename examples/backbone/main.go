@@ -66,7 +66,11 @@ func main() {
 		truss.ClusteringCoefficient(backbone), truss.ClusteringCoefficient(g))
 
 	// Cross-check against a full in-memory decomposition.
-	full := truss.Decompose(g)
+	fd, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		log.Fatal(err)
+	}
+	full, _ := truss.AsInMemory(fd)
 	for key, k := range phi {
 		e := edgeFromKey(key)
 		id, ok := g.EdgeID(e.U, e.V)

@@ -82,9 +82,12 @@ func main() {
 	}
 
 	// Spot-check against the in-memory algorithm.
-	want := truss.Decompose(g)
-	if want.KMax != res.KMax {
-		log.Fatalf("kmax mismatch: external %d vs in-memory %d", res.KMax, want.KMax)
+	want, err := truss.Run(context.Background(), truss.FromGraph(g))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if want.KMax() != res.KMax {
+		log.Fatalf("kmax mismatch: external %d vs in-memory %d", res.KMax, want.KMax())
 	}
 	fmt.Println("\nkmax agrees with the in-memory algorithm ✓")
 }

@@ -35,7 +35,7 @@ func TestIntegrationAllAlgorithmsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := truss.Decompose(g)
+			want := decompose(t, g)
 			if err := truss.Verify(want); err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestIntegrationAllAlgorithmsAgree(t *testing.T) {
 			}
 
 			// Baseline in-memory.
-			base := truss.DecomposeBaseline(g)
+			base := decompose(t, g, truss.WithEngine(truss.EngineBaseline))
 			for id := range base.Phi {
 				if base.Phi[id] != want.Phi[id] {
 					t.Fatalf("baseline disagrees at edge %d", id)
@@ -56,13 +56,11 @@ func TestIntegrationAllAlgorithmsAgree(t *testing.T) {
 			}
 
 			// Bottom-up external, from the file, small budget.
-			bu, err := truss.BottomUpFile(path, truss.ExternalOptions{
-				MemoryBudget: int64(g.NumEdges()), TempDir: dir, Seed: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
+			external := []truss.Option{
+				truss.WithBudget(int64(g.NumEdges())), truss.WithTempDir(dir), truss.WithSeed(3),
 			}
-			defer bu.Close()
+			bu, _ := truss.AsBottomUp(run(t, truss.FromFile(path),
+				append(external, truss.WithEngine(truss.EngineBottomUp))...))
 			buPhi, err := bu.PhiMap()
 			if err != nil {
 				t.Fatal(err)
@@ -78,13 +76,8 @@ func TestIntegrationAllAlgorithmsAgree(t *testing.T) {
 			}
 
 			// Top-down external (all classes), from the file.
-			td, err := truss.TopDownFile(path, 0, truss.ExternalOptions{
-				MemoryBudget: int64(g.NumEdges()), TempDir: dir, Seed: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer td.Close()
+			td, _ := truss.AsTopDown(run(t, truss.FromFile(path),
+				append(external, truss.WithEngine(truss.EngineTopDown), truss.WithTopT(0))...))
 			tdPhi, err := td.PhiMap()
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +93,7 @@ func TestIntegrationAllAlgorithmsAgree(t *testing.T) {
 			}
 
 			// MapReduce baseline.
-			mr := truss.MapReduceDecompose(g)
+			mr, _ := truss.AsMapReduce(run(t, truss.FromGraph(g), truss.WithEngine(truss.EngineMapReduce)))
 			if mr.KMax != want.KMax {
 				t.Fatalf("TD-MR kmax %d want %d", mr.KMax, want.KMax)
 			}

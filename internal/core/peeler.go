@@ -51,17 +51,6 @@ func (p *Peeler) Sup(id int32) int32 { return p.sup[id] }
 // Alive reports whether edge id has not been removed.
 func (p *Peeler) Alive(id int32) bool { return !p.dead[id] }
 
-// AliveCount returns the number of edges not yet removed.
-func (p *Peeler) AliveCount() int {
-	c := 0
-	for _, d := range p.dead {
-		if !d {
-			c++
-		}
-	}
-	return c
-}
-
 func (p *Peeler) removableEdge(id int32) bool {
 	return p.removable == nil || p.removable[id]
 }

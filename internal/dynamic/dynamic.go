@@ -61,9 +61,6 @@ type Batch struct {
 	Dels []graph.Edge
 }
 
-// Empty reports whether the batch carries no mutations at all.
-func (b Batch) Empty() bool { return len(b.Adds) == 0 && len(b.Dels) == 0 }
-
 // Config tunes Update. The zero value picks sensible defaults.
 type Config struct {
 	// MaxRegionFraction bounds the affected region: when the region grows

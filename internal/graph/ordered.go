@@ -33,20 +33,6 @@ type Oriented struct {
 	EID []int32
 }
 
-// OutDegree returns the out-degree of rank r.
-func (o *Oriented) OutDegree(r int32) int32 { return o.Off[r+1] - o.Off[r] }
-
-// MaxOutDegree returns the largest out-degree over all ranks (0 when empty).
-func (o *Oriented) MaxOutDegree() int32 {
-	best := int32(0)
-	for r := 0; r+1 < len(o.Off); r++ {
-		if d := o.Off[r+1] - o.Off[r]; d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // BuildOriented constructs the degree-ordered view serially.
 func BuildOriented(g *Graph) *Oriented { return BuildOrientedParallel(g, 1) }
 

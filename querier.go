@@ -332,21 +332,6 @@ func (q decompQuerier) KTrussEdges(ctx context.Context, k int32) (iter.Seq2[Edge
 	return seq, func() error { return iterErr }
 }
 
-// IndexOption configures BuildIndexFrom.
-type IndexOption func(*indexConfig)
-
-type indexConfig struct {
-	forceStream bool
-}
-
-// WithIndexStreaming forces the streaming reconstruction path even when
-// the decomposition is in-memory (where BuildIndexFrom would normally
-// take the zero-copy fast path through BuildIndex). Useful for tests and
-// benchmarks that compare the two paths; production callers never need it.
-func WithIndexStreaming() IndexOption {
-	return func(c *indexConfig) { c.forceStream = true }
-}
-
 // BuildIndexFrom freezes any engine's Decomposition into an Index by
 // consuming its edge stream — the path that makes external-memory
 // (BottomUp/TopDown spools) and MapReduce results indexable and servable,
@@ -360,23 +345,15 @@ func WithIndexStreaming() IndexOption {
 //
 // A top-t EngineTopDown run yields a partial decomposition; its index
 // covers exactly the computed classes.
-func BuildIndexFrom(ctx context.Context, d Decomposition, opts ...IndexOption) (*Index, error) {
+func BuildIndexFrom(ctx context.Context, d Decomposition) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if d == nil {
 		return nil, errors.New("truss: BuildIndexFrom requires a non-nil Decomposition")
 	}
-	var cfg indexConfig
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	if !cfg.forceStream {
-		if res, ok := AsInMemory(d); ok {
-			return index.Build(res), nil
-		}
+	if res, ok := AsInMemory(d); ok {
+		return index.Build(res), nil
 	}
 	return index.BuildFromStream(ctx, d.NumVertices(), d.Edges)
 }

@@ -261,8 +261,10 @@ func TestQuerierCancellation(t *testing.T) {
 	}
 }
 
-// TestBuildIndexFromFastPath: the in-memory fast path and the forced
-// streaming path agree with BuildIndex through every exported query.
+// TestBuildIndexFromFastPath: the in-memory fast path and the streaming
+// path agree with BuildIndex through every exported query. Wrapping the
+// in-memory decomposition hides it from AsInMemory, which forces the
+// stream path.
 func TestBuildIndexFromFastPath(t *testing.T) {
 	ctx := context.Background()
 	g := gen.BarabasiAlbert(150, 4, 9)
@@ -277,7 +279,7 @@ func TestBuildIndexFromFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := truss.BuildIndexFrom(ctx, d, truss.WithIndexStreaming())
+	forced, err := truss.BuildIndexFrom(ctx, struct{ truss.Decomposition }{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +332,7 @@ func TestOpenRejectsNilSource(t *testing.T) {
 func TestMmapQuerierParityAfterPatch(t *testing.T) {
 	ctx := context.Background()
 	g := gen.WithPlantedCliques(gen.Community(3, 11, 0.8, 1.5, 17), []int{7}, 9)
-	res := truss.Decompose(g)
+	res := decompose(t, g)
 
 	path := filepath.Join(t.TempDir(), "g.tix")
 	if err := truss.WriteIndexFile(path, truss.BuildIndex(res), "patch-parity"); err != nil {
@@ -354,7 +356,7 @@ func TestMmapQuerierParityAfterPatch(t *testing.T) {
 	}
 
 	q := truss.QueryIndex(patched)
-	ref := truss.QueryIndex(truss.BuildIndex(truss.Decompose(upd.G)))
+	ref := truss.QueryIndex(truss.BuildIndex(decompose(t, upd.G)))
 
 	pairs := upd.G.Edges()
 	got, err := q.TrussNumbers(ctx, pairs)

@@ -151,12 +151,7 @@ func runInMemory(eng Engine) engineRunner {
 		if res.PKT != nil {
 			recordPKT(res.PKT)
 		}
-		return &inmemDecomposition{
-			eng:       eng,
-			res:       res,
-			maxRegion: cfg.maxRegion,
-			workers:   cfg.workers,
-		}, nil
+		return &inmemDecomposition{eng: eng, res: res, workers: cfg.workers}, nil
 	}
 }
 
@@ -169,10 +164,9 @@ func runInMemory(eng Engine) engineRunner {
 //	...
 //	stats, err := d.Update(ctx, []truss.Edge{{U: 1, V: 9}}, nil)
 //
-// Options are those of Run; WithMaxRegion tunes when maintenance gives up
-// on locality and recomputes. Selecting an engine without incremental
-// maintenance (bottomup, topdown, mapreduce) is an error here rather than
-// a surprise at the first Update.
+// Options are those of Run; WithWorkers also bounds Update's parallelism.
+// Selecting an engine without incremental maintenance (bottomup, topdown,
+// mapreduce) is an error here rather than a surprise at the first Update.
 func Open(ctx context.Context, src Source, opts ...Option) (Decomposition, error) {
 	// Reject the nil source before option processing: falling through to
 	// Run's generic check after engine validation would report the wrong

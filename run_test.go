@@ -180,7 +180,7 @@ func TestRunFromFileStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := truss.Decompose(g)
+	want := decompose(t, g)
 	for _, eng := range []truss.Engine{truss.EngineBottomUp, truss.EngineTopDown} {
 		d, err := truss.Run(ctx, truss.FromFile(path),
 			truss.WithEngine(eng),

@@ -35,15 +35,12 @@
 //
 // For dynamic graphs, Open returns a Decomposition whose Update method
 // maintains it under edge insertions and deletions — re-peeling only the
-// affected region (WithMaxRegion tunes the full-recompute fallback) while
-// staying exactly equal to a fresh Run of the mutated graph. The server
-// layer builds on the same machinery: mutation endpoints patch the
-// resident Index instead of rebuilding it, and a snapshot+WAL store under
-// ServerOptions.DataDir makes registered graphs survive restarts.
-//
-// The pre-Run facade functions (Decompose, DecomposeBaseline,
-// DecomposeParallel, BottomUp, BottomUpFile, TopDown, TopDownFile,
-// MapReduceDecompose) remain as thin deprecated wrappers over Run.
+// affected region, and recomputing in full once that region passes a
+// quarter of the graph's edges — while staying exactly equal to a fresh
+// Run of the mutated graph. The server layer builds on the same
+// machinery: mutation endpoints patch the resident Index instead of
+// rebuilding it, and a snapshot+WAL store under ServerOptions.DataDir
+// makes registered graphs survive restarts.
 //
 // Many exported names here are type aliases for internal packages
 // (Graph = internal/graph.Graph, Result = internal/core.Result, and so
@@ -52,7 +49,6 @@
 package truss
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"time"
@@ -105,46 +101,6 @@ func SaveGraph(path string, g *Graph) error { return gio.SaveGraph(path, g, nil)
 // derived views.
 type Result = core.Result
 
-// mustInMemory unwraps a Run that cannot fail (in-memory engine, inert
-// source, background context); it exists so the deprecated wrappers keep
-// their error-free signatures.
-func mustInMemory(d Decomposition, err error) *Result {
-	if err != nil {
-		panic("truss: " + err.Error())
-	}
-	r, _ := AsInMemory(d)
-	return r
-}
-
-// Decompose computes the truss decomposition of g with the paper's
-// improved in-memory algorithm (TD-inmem+, Algorithm 2).
-//
-// Deprecated: use Run with FromGraph(g); EngineInMem is the default.
-func Decompose(g *Graph) *Result {
-	return mustInMemory(Run(context.Background(), FromGraph(g)))
-}
-
-// DecomposeBaseline computes the truss decomposition with Cohen's
-// in-memory algorithm (TD-inmem, Algorithm 1). It produces identical
-// results to Decompose but scans both full adjacency lists per removed
-// edge, which is the bottleneck the paper's Table 3 measures.
-//
-// Deprecated: use Run with WithEngine(EngineBaseline).
-func DecomposeBaseline(g *Graph) *Result {
-	return mustInMemory(Run(context.Background(), FromGraph(g), WithEngine(EngineBaseline)))
-}
-
-// DecomposeParallel computes the truss decomposition with
-// level-synchronized parallel peeling across the given number of workers
-// (0 = GOMAXPROCS) — a multicore extension beyond the paper. Results are
-// identical to Decompose.
-//
-// Deprecated: use Run with WithEngine(EngineParallel) and WithWorkers.
-func DecomposeParallel(g *Graph, workers int) *Result {
-	return mustInMemory(Run(context.Background(), FromGraph(g),
-		WithEngine(EngineParallel), WithWorkers(workers)))
-}
-
 // Verify checks a decomposition against the k-truss definition (membership
 // and maximality for every k). Intended for tests and validation.
 func Verify(r *Result) error { return core.Verify(r) }
@@ -153,179 +109,29 @@ func Verify(r *Result) error { return core.Verify(r) }
 // vertices into memory-sized parts.
 type PartitionStrategy = partition.Strategy
 
-// Partitioning strategies for ExternalOptions.
+// Partitioning strategies for WithPartition.
 const (
 	PartitionSequential    = partition.Sequential
 	PartitionRandomized    = partition.Randomized
 	PartitionDominatingSet = partition.DominatingSet
 )
 
-// ExternalOptions configures the out-of-core algorithms.
-type ExternalOptions struct {
-	// MemoryBudget is the paper's M, measured in adjacency entries (an
-	// in-memory subgraph with e edges consumes 2e entries). 0 selects a
-	// default suitable for graphs of a few million edges.
-	MemoryBudget int64
-	// Strategy selects the vertex partitioner (default randomized).
-	Strategy PartitionStrategy
-	// Seed drives randomized partitioning.
-	Seed int64
-	// TempDir holds on-disk spools (default os.TempDir()).
-	TempDir string
-	// Stats, if non-nil, accumulates every byte moved to and from disk.
-	Stats *IOStats
-}
-
-// options translates the legacy option struct into Run options.
-func (o ExternalOptions) options(engine Engine) []Option {
-	return []Option{
-		WithEngine(engine),
-		WithBudget(o.MemoryBudget),
-		WithPartition(o.Strategy),
-		WithSeed(o.Seed),
-		WithTempDir(o.TempDir),
-		WithStats(o.Stats),
-	}
-}
-
 // IOStats counts disk traffic in the Aggarwal-Vitter model; IOs(B) reports
 // block transfers.
 type IOStats = gio.Stats
 
 // ExternalResult is a disk-resident truss decomposition produced by
-// BottomUp: per-edge classes live in a spool; summaries are in memory.
+// EngineBottomUp (see AsBottomUp): per-edge classes live in a spool;
+// summaries are in memory.
 type ExternalResult = embu.Result
 
-// BottomUp runs the I/O-efficient bottom-up truss decomposition
-// (Algorithms 3 and 4) on g under the given memory budget. The graph is
-// spooled to disk first, so the run honestly exercises the external-memory
-// code paths regardless of g's size.
-//
-// Deprecated: use Run with WithEngine(EngineBottomUp) and AsBottomUp on
-// the result.
-func BottomUp(g *Graph, opts ExternalOptions) (*ExternalResult, error) {
-	d, err := Run(context.Background(), FromGraph(g), opts.options(EngineBottomUp)...)
-	if err != nil {
-		return nil, err
-	}
-	res, _ := AsBottomUp(d)
-	return res, nil
-}
-
-// BottomUpFile decomposes a graph file (SNAP text or .bin) without ever
-// materializing it in memory: the file streams straight into the engine's
-// input spool, with canonicalization and deduplication done out of core.
-//
-// Deprecated: use Run with FromFile(path) and WithEngine(EngineBottomUp).
-func BottomUpFile(path string, opts ExternalOptions) (*ExternalResult, error) {
-	d, err := Run(context.Background(), FromFile(path), opts.options(EngineBottomUp)...)
-	if err != nil {
-		return nil, err
-	}
-	res, _ := AsBottomUp(d)
-	return res, nil
-}
-
-// TopDownResult is the output of the top-down algorithm.
+// TopDownResult is the output of the top-down algorithm (EngineTopDown,
+// see AsTopDown).
 type TopDownResult = emtd.Result
 
-// TopDown computes the top-t k-classes of g (t = 0 means all classes) with
-// the I/O-efficient top-down algorithm (Algorithm 7).
-//
-// Deprecated: use Run with WithEngine(EngineTopDown), WithTopT(t), and
-// AsTopDown on the result.
-func TopDown(g *Graph, topT int, opts ExternalOptions) (*TopDownResult, error) {
-	d, err := Run(context.Background(), FromGraph(g),
-		append(opts.options(EngineTopDown), WithTopT(topT))...)
-	if err != nil {
-		return nil, err
-	}
-	res, _ := AsTopDown(d)
-	return res, nil
-}
-
-// TopDownFile is TopDown over a graph file, streamed without ever
-// materializing the graph in memory.
-//
-// Deprecated: use Run with FromFile(path) and WithEngine(EngineTopDown).
-func TopDownFile(path string, topT int, opts ExternalOptions) (*TopDownResult, error) {
-	d, err := Run(context.Background(), FromFile(path),
-		append(opts.options(EngineTopDown), WithTopT(topT))...)
-	if err != nil {
-		return nil, err
-	}
-	res, _ := AsTopDown(d)
-	return res, nil
-}
-
-// CountTrianglesExternal counts the triangles of a graph file without
-// holding the graph in memory, using the same partitioned accumulation
-// that powers the external decomposition (each triangle is counted at the
-// unique partition round where its first edge becomes internal — the
-// I/O-efficient scheme of Chu & Cheng the paper builds on).
-func CountTrianglesExternal(path string, opts ExternalOptions) (int64, error) {
-	ctx := context.Background()
-	sp, n, err := fileSource{path}.stream(ctx, opts.TempDir, opts.MemoryBudget, opts.Stats)
-	if err != nil {
-		return 0, err
-	}
-	defer sp.Remove()
-	aux, err := gio.NewSpool[gio.EdgeAux2](opts.TempDir, "tri", gio.EdgeAux2Codec{}, opts.Stats)
-	if err != nil {
-		return 0, err
-	}
-	defer aux.Remove()
-	w, err := aux.Create()
-	if err != nil {
-		return 0, err
-	}
-	if err := sp.ForEach(func(r gio.EdgeRec) error {
-		return w.Write(gio.EdgeAux2{U: r.U, V: r.V})
-	}); err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	sups, err := embu.ExactSupports(ctx, aux, n, embu.Config{
-		Budget:   opts.MemoryBudget,
-		Strategy: opts.Strategy,
-		Seed:     opts.Seed,
-		TempDir:  opts.TempDir,
-		Stats:    opts.Stats,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer sups.Remove()
-	var total int64
-	if err := sups.ForEach(func(r gio.EdgeAux) error {
-		total += int64(r.Aux)
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	return total / 3, nil
-}
-
 // MapReduceResult is a TD-MR decomposition with simulated-cluster
-// counters.
+// counters (EngineMapReduce, see AsMapReduce).
 type MapReduceResult = mapreduce.Result
-
-// MapReduceDecompose runs Cohen's graph-twiddling truss decomposition
-// (TD-MR) on the in-process MapReduce simulator.
-//
-// Deprecated: use Run with WithEngine(EngineMapReduce) and AsMapReduce on
-// the result.
-func MapReduceDecompose(g *Graph) *MapReduceResult {
-	d, err := Run(context.Background(), FromGraph(g), WithEngine(EngineMapReduce))
-	if err != nil {
-		panic("truss: " + err.Error())
-	}
-	res, _ := AsMapReduce(d)
-	return res
-}
 
 // CoreResult is a k-core decomposition.
 type CoreResult = kcore.Result
@@ -381,7 +187,10 @@ type IndexClass = index.Class
 // triangle buffer exactly) plus the per-level community tables — run it
 // once per decomposition, then query freely:
 //
-//	ix := truss.BuildIndex(truss.Decompose(g))
+//	d, err := truss.Run(ctx, truss.FromGraph(g))
+//	...
+//	res, _ := truss.AsInMemory(d)
+//	ix := truss.BuildIndex(res)
 //	k, ok := ix.TrussNumber(u, v)
 //
 // BuildIndex is the fast path for in-memory results; BuildIndexFrom

@@ -2,6 +2,7 @@ package truss_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -14,16 +15,35 @@ func paperExample() *truss.Graph {
 	return gen.PaperExample()
 }
 
+// run is truss.Run for tests: it fails t on error and closes the
+// decomposition when t ends.
+func run(t testing.TB, src truss.Source, opts ...truss.Option) truss.Decomposition {
+	t.Helper()
+	d, err := truss.Run(context.Background(), src, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// decompose runs an in-memory engine over g and unwraps its Result.
+func decompose(t testing.TB, g *truss.Graph, opts ...truss.Option) *truss.Result {
+	t.Helper()
+	res, _ := truss.AsInMemory(run(t, truss.FromGraph(g), opts...))
+	return res
+}
+
 func TestFacadeInMemory(t *testing.T) {
 	g := paperExample()
-	r := truss.Decompose(g)
+	r := decompose(t, g)
 	if r.KMax != 5 {
 		t.Fatalf("kmax = %d", r.KMax)
 	}
 	if err := truss.Verify(r); err != nil {
 		t.Fatal(err)
 	}
-	b := truss.DecomposeBaseline(g)
+	b := decompose(t, g, truss.WithEngine(truss.EngineBaseline))
 	if b.KMax != 5 {
 		t.Fatalf("baseline kmax = %d", b.KMax)
 	}
@@ -47,7 +67,7 @@ func TestFacadeBuilderAndFiles(t *testing.T) {
 	if back.NumEdges() != 3 {
 		t.Fatalf("loaded %d edges", back.NumEdges())
 	}
-	r := truss.Decompose(back)
+	r := decompose(t, back)
 	if r.KMax != 3 {
 		t.Fatalf("triangle kmax = %d", r.KMax)
 	}
@@ -56,12 +76,8 @@ func TestFacadeBuilderAndFiles(t *testing.T) {
 func TestFacadeExternal(t *testing.T) {
 	g := paperExample()
 	var st truss.IOStats
-	opts := truss.ExternalOptions{MemoryBudget: 64, TempDir: t.TempDir(), Stats: &st}
-	res, err := truss.BottomUp(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
+	res, _ := truss.AsBottomUp(run(t, truss.FromGraph(g), truss.WithEngine(truss.EngineBottomUp),
+		truss.WithBudget(64), truss.WithTempDir(t.TempDir()), truss.WithStats(&st)))
 	if res.KMax != 5 {
 		t.Fatalf("bottom-up kmax = %d", res.KMax)
 	}
@@ -69,11 +85,8 @@ func TestFacadeExternal(t *testing.T) {
 		t.Fatal("no I/O recorded")
 	}
 
-	td, err := truss.TopDown(g, 2, truss.ExternalOptions{TempDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer td.Close()
+	td, _ := truss.AsTopDown(run(t, truss.FromGraph(g), truss.WithEngine(truss.EngineTopDown),
+		truss.WithTopT(2), truss.WithTempDir(t.TempDir())))
 	if td.KMax != 5 || td.ClassSizes[5] != 10 || td.ClassSizes[4] != 6 {
 		t.Fatalf("top-down: kmax=%d sizes=%v", td.KMax, td.ClassSizes)
 	}
@@ -86,77 +99,20 @@ func TestFacadeExternalFromFile(t *testing.T) {
 	if err := truss.SaveGraph(path, g); err != nil {
 		t.Fatal(err)
 	}
-	res, err := truss.BottomUpFile(path, truss.ExternalOptions{TempDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
+	res, _ := truss.AsBottomUp(run(t, truss.FromFile(path), truss.WithEngine(truss.EngineBottomUp),
+		truss.WithTempDir(dir)))
 	if res.KMax != 5 {
 		t.Fatalf("kmax = %d", res.KMax)
 	}
-	td, err := truss.TopDownFile(path, 1, truss.ExternalOptions{TempDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer td.Close()
+	td, _ := truss.AsTopDown(run(t, truss.FromFile(path), truss.WithEngine(truss.EngineTopDown),
+		truss.WithTopT(1), truss.WithTempDir(dir)))
 	if td.ClassSizes[5] != 10 {
 		t.Fatalf("top-1 sizes = %v", td.ClassSizes)
 	}
 }
 
-func TestFacadeCountTrianglesExternal(t *testing.T) {
-	g := paperExample()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.bin")
-	if err := truss.SaveGraph(path, g); err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{0, 64} {
-		got, err := truss.CountTrianglesExternal(path, truss.ExternalOptions{
-			MemoryBudget: budget, TempDir: dir, Seed: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Figure 2 has 23 triangles: C(5,3)=10 in the 5-clique, 4 around
-		// the {f,h,i,j} near-clique plus its (f,h,i),(f,h,j)... count via
-		// the in-memory reference below instead of hand arithmetic.
-		want := int64(0)
-		for _, s := range supportsOf(g) {
-			want += int64(s)
-		}
-		want /= 3
-		if got != want {
-			t.Fatalf("budget %d: triangles = %d, want %d", budget, got, want)
-		}
-	}
-}
-
-// supportsOf mirrors triangle.Supports through the public surface (merge
-// intersection per edge).
-func supportsOf(g *truss.Graph) []int {
-	out := make([]int, g.NumEdges())
-	for id, e := range g.Edges() {
-		a, b := g.Neighbors(e.U), g.Neighbors(e.V)
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i] < b[j]:
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				out[id]++
-				i++
-				j++
-			}
-		}
-	}
-	return out
-}
-
 func TestFacadeMapReduce(t *testing.T) {
-	res := truss.MapReduceDecompose(paperExample())
+	res, _ := truss.AsMapReduce(run(t, truss.FromGraph(paperExample()), truss.WithEngine(truss.EngineMapReduce)))
 	if res.KMax != 5 {
 		t.Fatalf("TD-MR kmax = %d", res.KMax)
 	}
@@ -167,7 +123,7 @@ func TestFacadeMapReduce(t *testing.T) {
 
 func TestFacadeCommunitiesAndDOT(t *testing.T) {
 	g := paperExample()
-	r := truss.Decompose(g)
+	r := decompose(t, g)
 	comms := truss.Communities(r, 5)
 	if len(comms) != 1 || len(comms[0].Edges) != 10 {
 		t.Fatalf("communities at k=5: %+v", comms)

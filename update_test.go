@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	truss "repro"
@@ -85,22 +86,41 @@ func TestOpenUpdateDifferential(t *testing.T) {
 	}
 }
 
-// TestUpdateFallback drives the WithMaxRegion knob to force the full
-// recompute path through the public API.
+// TestUpdateFallback drives Update past its default region limit, a
+// quarter of the mutated graph's edges, through the public API. A clique
+// on fresh vertices shares no triangle with the old graph, so its region
+// is exactly its own edges: a 13-clique brings 78 against a limit of 69
+// (a quarter of 278) and falls back to a full recompute, while a
+// 12-clique brings 66 against 66 and stays local. Either way the result
+// must equal a fresh Run.
 func TestUpdateFallback(t *testing.T) {
 	ctx := context.Background()
-	d, err := truss.Open(ctx, truss.FromGraph(gen.ErdosRenyi(40, 200, 3)),
-		truss.WithMaxRegion(1e-9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	st, err := d.Update(ctx, []truss.Edge{{U: 0, V: 1}, {U: 41, V: 42}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.FellBack {
-		t.Fatalf("stats = %+v, want fallback", st)
+	for _, tc := range []struct {
+		clique   uint32
+		fellBack bool
+	}{{12, false}, {13, true}} {
+		d, err := truss.Open(ctx, truss.FromGraph(gen.ErdosRenyi(40, 200, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		var adds []truss.Edge
+		for u := uint32(100); u < 100+tc.clique; u++ {
+			for v := u + 1; v < 100+tc.clique; v++ {
+				adds = append(adds, truss.Edge{U: u, V: v})
+			}
+		}
+		st, err := d.Update(ctx, adds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FellBack != tc.fellBack {
+			t.Fatalf("%d-clique: stats = %+v, want FellBack %v", tc.clique, st, tc.fellBack)
+		}
+		res, _ := truss.AsInMemory(d)
+		if want, got := phiMap(t, run(t, truss.FromGraph(res.G))), phiMap(t, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-clique: phi after Update differs from a fresh Run", tc.clique)
+		}
 	}
 }
 
