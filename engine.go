@@ -124,7 +124,10 @@ func WithEngine(e Engine) Option { return func(c *runConfig) { c.engine = e } }
 func WithBudget(entries int64) Option { return func(c *runConfig) { c.budget = entries } }
 
 // WithPartition selects the vertex-partitioning strategy of the external
-// engines (default randomized, which carries the O(m/M) iteration bound).
+// engines' LowerBounding stage. The default is sequential, the zero
+// PartitionStrategy; LowerBounding switches to randomized, which carries
+// the O(m/M) iteration bound, after an iteration that makes no progress.
+// The local peel of Procedures 9 and 10 always partitions randomly.
 func WithPartition(s PartitionStrategy) Option { return func(c *runConfig) { c.strategy = s } }
 
 // WithSeed drives randomized partitioning.

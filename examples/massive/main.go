@@ -81,7 +81,7 @@ func main() {
 		}
 	}
 
-	// Spot-check against the in-memory algorithm.
+	// Check every class against the in-memory algorithm.
 	want, err := truss.Run(context.Background(), truss.FromGraph(g))
 	if err != nil {
 		log.Fatal(err)
@@ -89,5 +89,10 @@ func main() {
 	if want.KMax() != res.KMax {
 		log.Fatalf("kmax mismatch: external %d vs in-memory %d", res.KMax, want.KMax())
 	}
-	fmt.Println("\nkmax agrees with the in-memory algorithm ✓")
+	for k, n := range want.Histogram() {
+		if res.ClassSizes[int32(k)] != n {
+			log.Fatalf("|Phi_%d| mismatch: external %d vs in-memory %d", k, res.ClassSizes[int32(k)], n)
+		}
+	}
+	fmt.Println("\nevery class agrees with the in-memory algorithm ✓")
 }

@@ -2,9 +2,12 @@
 // algorithms: the improved TD-inmem+ (Algorithm 2, O(m^1.5) time and O(m+n)
 // space, matching the triangle-listing lower bound) and Cohen's original
 // TD-inmem (Algorithm 1), which the paper uses as its in-memory baseline.
-// It also provides the threshold Peeler reused by the external-memory
-// algorithms (Procedures 5, 8, 9, 10) and naive reference implementations
-// for testing.
+// It also provides PKT, the bulk-synchronous parallel peel, with its run
+// restricted to a region (PeelRegion) for incremental maintenance, the
+// threshold Peeler reused by the external-memory algorithms (Procedures 5,
+// 8, 9, 10), and naive reference implementations for testing. Every peel
+// here lists a removed edge's triangles with triangle.Kernel; only
+// Algorithm 1 runs the plain merge, as published.
 //
 // Terminology follows the paper: sup(e) is the number of triangles
 // containing edge e; the k-truss T_k is the largest subgraph with every
@@ -120,9 +123,13 @@ func (r *Result) ClassMap() map[uint64]int32 {
 
 // Decompose runs the improved in-memory algorithm (Algorithm 2,
 // TD-inmem+): supports are computed by oriented triangle counting, edges
-// are bin-sorted by support, and the peeling loop enumerates each removed
-// edge's triangles through its lower-degree endpoint with a membership
-// test, giving O(m^1.5) total time.
+// are bin-sorted by support, and the peeling loop lists each removed
+// edge's triangles with triangle.Kernel. The kernel probes the closing edge
+// from the lower-degree endpoint, or merges both lists only while the
+// larger degree is under triangle.ProbeSkew times the smaller, so every
+// edge costs O(min degree) steps and the total stays O(m^1.5). The probes
+// binary-search the adjacency lists (NewSearchKernel): no m-sized hash
+// table is built.
 func Decompose(g *graph.Graph) *Result {
 	r, _ := DecomposeCtx(context.Background(), g, Hooks{})
 	return r
@@ -196,6 +203,8 @@ func decomposePeel(ctx context.Context, g *graph.Graph, sup []int32, fullMerge b
 	}
 
 	removed := make([]bool, m)
+	dead := func(e int32) bool { return removed[e] }
+	kern := triangle.NewSearchKernel(g)
 
 	// demote moves edge x one support bin down (x's support must exceed
 	// the support of the edge currently being removed, so its bin start is
@@ -251,76 +260,13 @@ func decomposePeel(ctx context.Context, g *graph.Graph, sup []int32, fullMerge b
 
 		if fullMerge {
 			// Algorithm 1: full merge of both adjacency lists.
-			forEachTriangleMerge(g, u, v, removed, visit)
+			triangle.ForEachMerge(g, u, v, dead, visit)
 		} else {
-			// Algorithm 2: iterate the lower-degree endpoint, membership
-			// test for the closing edge.
-			forEachTriangleProbe(g, u, v, removed, visit)
+			// Algorithm 2: the adaptive kernel, which probes the closing
+			// edge from the lower-degree endpoint when degrees are skewed.
+			kern.ForEachLive(u, v, dead, visit)
 		}
 	}
 	res.KMax = k
 	return res, nil
-}
-
-// forEachTriangleProbe enumerates the live triangles of edge (u,v) with
-// the Algorithm 2 strategy: iterate the lower-degree endpoint's adjacency
-// and membership-test the closing edge. The membership test adapts to the
-// degree gap — binary probing into the larger list when it is much larger
-// (the regime where Algorithm 1's full merge loses), a two-pointer merge
-// otherwise (where merging is cheaper than probing, as on low-skew graphs
-// like the paper's Amazon).
-func forEachTriangleProbe(g *graph.Graph, u, v uint32, removed []bool, fn func(euw, evw int32)) {
-	du, dv := g.Degree(u), g.Degree(v)
-	if du > dv {
-		u, v = v, u
-		du, dv = dv, du
-	}
-	// Probe pays ~log2(dv) per candidate; merge pays (du+dv)/du per
-	// candidate. Probe only when the gap is decisive.
-	if dv >= 16*du {
-		nbrs := g.Neighbors(u)
-		eids := g.IncidentEdges(u)
-		for i, w := range nbrs {
-			if w == v {
-				continue
-			}
-			euw := eids[i]
-			if removed[euw] {
-				continue
-			}
-			evw, ok := g.EdgeID(v, w)
-			if !ok || removed[evw] {
-				continue
-			}
-			fn(euw, evw)
-		}
-		return
-	}
-	forEachTriangleMerge(g, u, v, removed, fn)
-}
-
-// forEachTriangleMerge enumerates the live triangles of edge (u,v) by a
-// full sorted merge of both adjacency lists (Algorithm 1, Step 5), costing
-// O(deg(u)+deg(v)) regardless of how few triangles survive.
-func forEachTriangleMerge(g *graph.Graph, u, v uint32, removed []bool, fn func(euw, evw int32)) {
-	un, ue := g.Neighbors(u), g.IncidentEdges(u)
-	vn, ve := g.Neighbors(v), g.IncidentEdges(v)
-	i, j := 0, 0
-	for i < len(un) && j < len(vn) {
-		switch {
-		case un[i] < vn[j]:
-			i++
-		case un[i] > vn[j]:
-			j++
-		default:
-			if w := un[i]; w != u && w != v {
-				euw, evw := ue[i], ve[j]
-				if !removed[euw] && !removed[evw] {
-					fn(euw, evw)
-				}
-			}
-			i++
-			j++
-		}
-	}
 }

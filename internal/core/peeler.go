@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/graph"
+	"repro/internal/triangle"
 )
 
 // Peeler performs iterative threshold peeling: repeatedly remove eligible
@@ -16,6 +17,8 @@ import (
 // achieves the same O(triangles touched) cost without the bin bookkeeping.
 type Peeler struct {
 	g         *graph.Graph
+	kern      *triangle.Kernel
+	isDead    func(int32) bool // reads dead, for the kernel
 	sup       []int32
 	dead      []bool // dead[id] == true once the edge is removed
 	removable []bool // nil means every edge is removable
@@ -27,10 +30,13 @@ type Peeler struct {
 // afterwards and mutated in place.
 func NewPeeler(g *graph.Graph, sup []int32) *Peeler {
 	m := g.NumEdges()
+	dead := make([]bool, m)
 	return &Peeler{
 		g:       g,
+		kern:    triangle.NewSearchKernel(g),
+		isDead:  func(id int32) bool { return dead[id] },
 		sup:     sup,
-		dead:    make([]bool, m),
+		dead:    dead,
 		inQueue: make([]bool, m),
 	}
 }
@@ -78,7 +84,7 @@ func (p *Peeler) PeelTo(threshold int32) []int32 {
 		p.dead[e] = true
 		removed = append(removed, e)
 		ed := p.g.Edge(e)
-		forEachTriangleProbe(p.g, ed.U, ed.V, p.dead, func(euw, evw int32) {
+		p.kern.ForEachLive(ed.U, ed.V, p.isDead, func(euw, evw int32) {
 			p.decrement(euw, threshold)
 			p.decrement(evw, threshold)
 		})

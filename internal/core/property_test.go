@@ -166,17 +166,17 @@ func TestPeelRegionKeepsExactPhi(t *testing.T) {
 			}
 			var want []int32
 			seen := make([]bool, m)
-			for _, e := range rg.edges {
-				ed := g.Edge(e)
-				triangle.ForEachOf(g, ed.U, ed.V, func(a, b int32) {
-					for _, f := range [2]int32{a, b} {
-						if !inR[f] && !seen[f] {
-							seen[f] = true
-							want = append(want, f)
-						}
+			triangle.ForEach(g, func(e1, e2, e3 int32) {
+				if !inR[e1] && !inR[e2] && !inR[e3] {
+					return
+				}
+				for _, f := range [3]int32{e1, e2, e3} {
+					if !inR[f] && !seen[f] {
+						seen[f] = true
+						want = append(want, f)
 					}
-				})
-			}
+				}
+			})
 			slices.Sort(want)
 			for _, workers := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s, %s region, %d workers", in.name, rg.name, workers)

@@ -160,6 +160,9 @@ func Update(ctx context.Context, g *graph.Graph, phi []int32, batch Batch, cfg C
 	// Seed the affected region: inserted edges, their triangle partners
 	// (new triangles raise support), and the surviving partners of
 	// deleted edges' triangles (destroyed triangles lower support).
+	// Triangles are listed in the new graph, and a deleted edge's in the
+	// old one.
+	kern, oldKern := triangle.NewSearchKernel(g2), triangle.NewSearchKernel(g)
 	inR := make([]bool, m2)
 	var region []int32
 	grow := func(id int32) {
@@ -171,14 +174,14 @@ func Update(ctx context.Context, g *graph.Graph, phi []int32, batch Batch, cfg C
 	for _, id := range re.Added {
 		grow(id)
 		e := g2.Edge(id)
-		triangle.ForEachOf(g2, e.U, e.V, func(a, b int32) {
+		kern.ForEachLive(e.U, e.V, triangle.NoneDead, func(a, b int32) {
 			grow(a)
 			grow(b)
 		})
 	}
 	for _, oldID := range re.Deleted {
 		e := g.Edge(oldID)
-		triangle.ForEachOf(g, e.U, e.V, func(a, b int32) {
+		oldKern.ForEachLive(e.U, e.V, triangle.NoneDead, func(a, b int32) {
 			if na := re.OldToNew[a]; na >= 0 {
 				grow(na)
 			}
@@ -212,7 +215,7 @@ func Update(ctx context.Context, g *graph.Graph, phi []int32, batch Batch, cfg C
 		for qi := 0; qi < len(region); qi++ { // region grows while we scan it
 			x := region[qi]
 			xe := g2.Edge(x)
-			triangle.ForEachOf(g2, xe.U, xe.V, func(f, z int32) {
+			kern.ForEachLive(xe.U, xe.V, triangle.NoneDead, func(f, z int32) {
 				if !inR[f] && ub(x) > int64(phi2[f]) && ub(z) > int64(phi2[f]) {
 					grow(f)
 				}
@@ -244,7 +247,7 @@ func Update(ctx context.Context, g *graph.Graph, phi []int32, batch Batch, cfg C
 			res.Stats.ParallelPeels++
 		}
 		res.Stats.Boundary = len(boundary)
-		violated := checkBoundary(g2, phi2, boundary)
+		violated := checkBoundary(kern, g2, phi2, boundary)
 		if len(violated) == 0 {
 			break
 		}
@@ -303,13 +306,13 @@ func maxPhi(phi []int32) int32 {
 // phi >= p, and fewer than p-1 triangles at phi >= p+1 (the old
 // assignment satisfied both by exactness, so only changed counts can
 // violate them). Violated edges must join the region.
-func checkBoundary(g2 *graph.Graph, phi, boundary []int32) []int32 {
+func checkBoundary(kern *triangle.Kernel, g2 *graph.Graph, phi, boundary []int32) []int32 {
 	var violated []int32
 	for _, f := range boundary {
 		p := phi[f]
 		var atP, aboveP int32
 		fd := g2.Edge(f)
-		triangle.ForEachOf(g2, fd.U, fd.V, func(a, b int32) {
+		kern.ForEachLive(fd.U, fd.V, triangle.NoneDead, func(a, b int32) {
 			mn := min(phi[a], phi[b])
 			if mn >= p {
 				atP++

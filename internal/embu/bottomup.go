@@ -297,7 +297,7 @@ func procedure9(ctx context.Context, h *gio.Spool[gio.EdgeAux2], uk *graph.Verte
 		// One local pass collapses within-part cascades cheaply; the
 		// certification pass then removes every cross-part straggler in
 		// one batch and decides termination.
-		if _, err := localPeelPass(ctx, h, uk, n, k, cfg, cfg.Seed+int64(pass), emit); err != nil {
+		if err := LocalPeel(ctx, h, n, uk.Contains, nil, k-2, cfg, cfg.Seed+int64(pass), emit); err != nil {
 			return err
 		}
 		nCert, err := certifyPass(ctx, h, uk, n, k, cfg, int64(1000*(pass+1)), emit)
@@ -313,43 +313,52 @@ func procedure9(ctx context.Context, h *gio.Spool[gio.EdgeAux2], uk *graph.Verte
 	return w.Close()
 }
 
-// localPeelPass is one partitioned peel over H: every part-internal edge
-// with support <= k-2 within its part's neighborhood subgraph is removed
-// (with cascades), emitted, and deleted from H. Returns the removal count.
-func localPeelPass(ctx context.Context, h *gio.Spool[gio.EdgeAux2], uk *graph.VertexSet, n int, k int32, cfg Config, seed int64, emit func(u, v uint32) error) (int, error) {
+// LocalPeel is one partitioned local peel over the disk-resident edge set
+// h: the pass of Procedure 9 (threshold k-2) and of Procedure 10 (k-3).
+// It partitions the active vertices randomly with seed under cfg.Budget,
+// loads each part's neighborhood subgraph, and peels the part's removable
+// internal edges whose support there is <= threshold, with cascades. Each
+// removed edge is passed to emit (if non-nil) and deleted from h, whose
+// record order is kept.
+//
+// active selects the vertices to partition; nil means every vertex with
+// an edge in h. removable selects, by record, the part-internal edges that
+// may be peeled; nil means all of them.
+func LocalPeel(ctx context.Context, h *gio.Spool[gio.EdgeAux2], n int, active func(v uint32) bool, removable func(gio.EdgeAux2) bool, threshold int32, cfg Config, seed int64, emit func(u, v uint32) error) error {
+	cfg = cfg.withDefaults()
 	deg := make([]int32, n)
 	if err := h.ForEach(func(r gio.EdgeAux2) error {
 		deg[r.U]++
 		deg[r.V]++
 		return nil
 	}); err != nil {
-		return 0, err
+		return err
 	}
-	active := func(v uint32) bool { return deg[v] > 0 && uk.Contains(v) }
-	parts := partition.Partition(
-		partition.Input{Degree: deg, Active: active},
-		partition.Config{Strategy: partition.Randomized, Budget: cfg.Budget, Seed: seed},
-	)
+	in := partition.Input{Degree: deg}
+	if active != nil {
+		in.Active = func(v uint32) bool { return deg[v] > 0 && active(v) }
+	}
+	parts := partition.Partition(in, partition.Config{Strategy: partition.Randomized, Budget: cfg.Budget, Seed: seed})
 	if len(parts) == 0 {
-		return 0, nil
+		return nil
 	}
 	partOf := makePartIndex(n, parts)
 	buckets, err := bucketByPart(h, len(parts), partOf, cfg)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer removeSpools(buckets) // no-op on success; cleanup on abort
 	passRemoved := map[uint64]bool{}
 	for pi := range parts {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		recs, err := buckets[pi].ReadAll()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := buckets[pi].Remove(); err != nil {
-			return 0, err
+			return err
 		}
 		live := recs[:0]
 		for _, r := range recs {
@@ -360,28 +369,28 @@ func localPeelPass(ctx context.Context, h *gio.Spool[gio.EdgeAux2], uk *graph.Ve
 		if len(live) == 0 {
 			continue
 		}
-		sg, _ := buildSubgraph(live)
-		removable := make([]bool, sg.NumEdges())
+		sg, recOf := buildSubgraph(live)
+		peelable := make([]bool, sg.NumEdges())
 		for id, e := range sg.Edges() {
-			removable[id] = partOf[e.U] == int32(pi) && partOf[e.V] == int32(pi)
+			peelable[id] = partOf[e.U] == int32(pi) && partOf[e.V] == int32(pi) &&
+				(removable == nil || removable(live[recOf[id]]))
 		}
 		p := core.NewPeeler(sg, triangle.Supports(sg))
-		p.Restrict(removable)
-		for _, id := range p.PeelTo(k - 2) {
+		p.Restrict(peelable)
+		for _, id := range p.PeelTo(threshold) {
 			e := sg.Edge(id)
 			passRemoved[e.Key()] = true
-			if err := emit(e.U, e.V); err != nil {
-				return 0, err
+			if emit != nil {
+				if err := emit(e.U, e.V); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	if len(passRemoved) == 0 {
-		return 0, nil
+		return nil
 	}
-	if err := rewriteWithout(h, passRemoved, cfg); err != nil {
-		return 0, err
-	}
-	return len(passRemoved), nil
+	return rewriteWithout(h, passRemoved, cfg)
 }
 
 // certifyPass computes exact supports of every H edge and removes internal
@@ -442,6 +451,7 @@ func rewriteWithout(sp *gio.Spool[gio.EdgeAux2], drop map[uint64]bool, cfg Confi
 	}
 	nw, err := next.Create()
 	if err != nil {
+		next.Remove()
 		return err
 	}
 	err = sp.ForEach(func(r gio.EdgeAux2) error {
@@ -452,9 +462,11 @@ func rewriteWithout(sp *gio.Spool[gio.EdgeAux2], drop map[uint64]bool, cfg Confi
 	})
 	if err != nil {
 		nw.Close()
+		next.Remove()
 		return err
 	}
 	if err := nw.Close(); err != nil {
+		next.Remove()
 		return err
 	}
 	return sp.ReplaceWith(next)

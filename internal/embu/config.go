@@ -28,8 +28,11 @@ type Config struct {
 	// in-memory subgraph with e edges consumes 2e entries). Defaults to
 	// 1<<22 (enough for graphs of ~2M edges fully in memory).
 	Budget int64
-	// Strategy selects the vertex partitioner (default Randomized, which
-	// carries the O(m/M) iteration bound of Chu & Cheng [13]).
+	// Strategy selects the vertex partitioner of LowerBounding. The zero
+	// value is partition.Sequential; LowerBounding switches to Randomized,
+	// which carries the O(m/M) iteration bound of Chu & Cheng [13], after
+	// a fruitless iteration. LocalPeel, the local pass of Procedures 9 and
+	// 10, always partitions randomly.
 	Strategy partition.Strategy
 	// Seed drives the randomized partitioner.
 	Seed int64

@@ -10,7 +10,6 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/gio"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/triangle"
 )
 
@@ -387,6 +386,7 @@ func procedure10(ctx context.Context, h *gio.Spool[gio.EdgeRec5], n int, k int32
 		return nil, err
 	}
 
+	candidate := func(r gio.EdgeAux2) bool { return r.A == 1 }
 	for pass := 0; ; pass++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -395,7 +395,7 @@ func procedure10(ctx context.Context, h *gio.Spool[gio.EdgeRec5], n int, k int32
 		// One partitioned local peel collapses within-part cascades (the
 		// paper's Procedure 10 pass); the exact-support certification then
 		// removes every cross-part straggler and decides termination.
-		if _, err := localPeelPass10(ctx, elig, n, k, cfg, cfg.Seed+int64(pass)); err != nil {
+		if err := embu.LocalPeel(ctx, elig, n, nil, candidate, k-3, cfg.embu(), cfg.Seed+int64(pass), nil); err != nil {
 			return nil, err
 		}
 		sups, err := embu.ExactSupports(ctx, elig, n, cfg.embu())
@@ -501,166 +501,6 @@ func procedure10(ctx context.Context, h *gio.Spool[gio.EdgeRec5], n int, k int32
 		return nil, err
 	}
 	return out, nil
-}
-
-// localPeelPass10 is one partitioned peel over the eligible subgraph:
-// part-internal candidates whose support within their part's neighborhood
-// subgraph falls below k-2 are removed from the eligible set (they are
-// provably outside T_k). Returns the number removed. The eligible spool's
-// key order is preserved.
-func localPeelPass10(ctx context.Context, elig *gio.Spool[gio.EdgeAux2], n int, k int32, cfg Config, seed int64) (int, error) {
-	deg := make([]int32, n)
-	if err := elig.ForEach(func(r gio.EdgeAux2) error {
-		deg[r.U]++
-		deg[r.V]++
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	parts := partition.Partition(
-		partition.Input{Degree: deg},
-		partition.Config{Strategy: partition.Randomized, Budget: cfg.Budget, Seed: seed},
-	)
-	if len(parts) == 0 {
-		return 0, nil
-	}
-	partOf := make([]int32, n)
-	for i := range partOf {
-		partOf[i] = -1
-	}
-	for pi, p := range parts {
-		for _, v := range p {
-			partOf[v] = int32(pi)
-		}
-	}
-
-	// Bucket eligible edges by incident part (single scan, two writes max).
-	buckets := make([]*gio.Spool[gio.EdgeAux2], len(parts))
-	defer func() {
-		// No-op on success (each bucket is removed as it is consumed);
-		// cleanup when an error or cancellation aborts the pass early.
-		for _, b := range buckets {
-			if b != nil {
-				b.Remove()
-			}
-		}
-	}()
-	writers := make([]*gio.SpoolWriter[gio.EdgeAux2], len(parts))
-	const wave = 256
-	for lo := 0; lo < len(parts); lo += wave {
-		hi := lo + wave
-		if hi > len(parts) {
-			hi = len(parts)
-		}
-		for i := lo; i < hi; i++ {
-			sp, err := gio.NewSpool[gio.EdgeAux2](cfg.TempDir, "tdbucket", gio.EdgeAux2Codec{}, cfg.Stats)
-			if err != nil {
-				return 0, err
-			}
-			buckets[i] = sp
-			w, err := sp.Create()
-			if err != nil {
-				return 0, err
-			}
-			writers[i] = w
-		}
-		err := elig.ForEach(func(r gio.EdgeAux2) error {
-			pu, pv := partOf[r.U], partOf[r.V]
-			if pu >= int32(lo) && pu < int32(hi) {
-				if err := writers[pu].Write(r); err != nil {
-					return err
-				}
-			}
-			if pv != pu && pv >= int32(lo) && pv < int32(hi) {
-				if err := writers[pv].Write(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		for i := lo; i < hi; i++ {
-			if cerr := writers[i].Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	removed := map[uint64]bool{}
-	for pi := range parts {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		recs, err := buckets[pi].ReadAll()
-		if err != nil {
-			return 0, err
-		}
-		if err := buckets[pi].Remove(); err != nil {
-			return 0, err
-		}
-		live := recs[:0]
-		for _, r := range recs {
-			if !removed[r.Key()] {
-				live = append(live, r)
-			}
-		}
-		if len(live) == 0 {
-			continue
-		}
-		edges := make([]graph.Edge, len(live))
-		for i, r := range live {
-			edges[i] = graph.Edge{U: r.U, V: r.V}
-		}
-		sg := graph.FromEdges(edges)
-		cand := make([]bool, sg.NumEdges())
-		byKey := make(map[uint64]gio.EdgeAux2, len(live))
-		for _, r := range live {
-			byKey[r.Key()] = r
-		}
-		for id, e := range sg.Edges() {
-			r := byKey[e.Key()]
-			cand[id] = r.A == 1 && partOf[e.U] == int32(pi) && partOf[e.V] == int32(pi)
-		}
-		p := core.NewPeeler(sg, triangle.Supports(sg))
-		p.Restrict(cand)
-		for _, id := range p.PeelTo(k - 3) {
-			removed[sg.Edge(id).Key()] = true
-		}
-	}
-	if len(removed) == 0 {
-		return 0, nil
-	}
-	// Rewrite the eligible spool without the removed candidates.
-	next, err := gio.NewSpool[gio.EdgeAux2](cfg.TempDir, "tdelig", gio.EdgeAux2Codec{}, cfg.Stats)
-	if err != nil {
-		return 0, err
-	}
-	nw, err := next.Create()
-	if err != nil {
-		next.Remove()
-		return 0, err
-	}
-	err = elig.ForEach(func(r gio.EdgeAux2) error {
-		if removed[r.Key()] {
-			return nil
-		}
-		return nw.Write(r)
-	})
-	if err != nil {
-		nw.Close()
-		next.Remove()
-		return 0, err
-	}
-	if err := nw.Close(); err != nil {
-		next.Remove()
-		return 0, err
-	}
-	if err := elig.ReplaceWith(next); err != nil {
-		return 0, err
-	}
-	return len(removed), nil
 }
 
 // classifyEdges sets Phi=k on the given edges in the residual, in

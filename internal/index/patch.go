@@ -118,10 +118,11 @@ func (ix *TrussIndex) patch(g *graph.Graph, phi []int32, kmax int32, re *graph.R
 	// such triangle at least once, and charging it to its smallest
 	// minimum-phi edge counts it exactly once.
 	buckets := make([][]int32, kTouched+1) // flattened (e1,e2,e3) triples per min-phi
+	kern := triangle.NewSearchKernel(g)
 	for i := ix2.cnt[kTouched+1]; i < ix2.cnt[3]; i++ {
 		e := ix2.byPhi[i] // classes 3..kTouched: a byPhi segment
 		ed := g.Edge(e)
-		triangle.ForEachOf(g, ed.U, ed.V, func(a, b int32) {
+		kern.ForEachLive(ed.U, ed.V, triangle.NoneDead, func(a, b int32) {
 			mn := phi[e]
 			if phi[a] < mn {
 				mn = phi[a]

@@ -116,10 +116,11 @@ func BuildFromStream(ctx context.Context, numVertices int, stream EdgeStream) (*
 // classTwoTriangleEdge returns the lowest-ID edge of truss number 2 that
 // lies on a triangle, if there is one.
 func (ix *TrussIndex) classTwoTriangleEdge() (graph.Edge, bool) {
+	kern := triangle.NewSearchKernel(ix.g)
 	for _, id := range ix.Class(2) {
 		e := ix.g.Edge(id)
 		found := false
-		triangle.ForEachOf(ix.g, e.U, e.V, func(_, _ int32) { found = true })
+		kern.ForEachLive(e.U, e.V, triangle.NoneDead, func(_, _ int32) { found = true })
 		if found {
 			return e, true
 		}

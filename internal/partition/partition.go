@@ -6,9 +6,12 @@
 //
 //   - Sequential: take vertices in ID order, closing a part when the
 //     estimated NS size would exceed the budget. Fast, no guarantee on the
-//     number of LowerBounding iterations.
+//     number of LowerBounding iterations. It is the zero Strategy, so
+//     LowerBounding starts from it unless configured otherwise.
 //   - Randomized: like Sequential but over a seeded random permutation;
-//     bounds iterations to O(m/M) with high probability and is the default.
+//     bounds iterations to O(m/M) with high probability. LowerBounding
+//     switches to it after a fruitless iteration, and the local peel of
+//     Procedures 9 and 10 always uses it.
 //   - DominatingSet: greedily picks a dominating set as seeds, assigns every
 //     vertex to a dominating neighbor, and packs seed groups into parts;
 //     uses O(n) memory and bounds iterations deterministically.

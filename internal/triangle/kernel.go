@@ -7,28 +7,34 @@ import (
 	"repro/internal/graph"
 )
 
-// ProbeSkew is the degree-skew threshold of the adaptive kernel: the
-// hash-probe strategy is chosen for edge (u,v) when
+// ProbeSkew is the degree-skew threshold of the adaptive kernel, and the
+// only one: the probe strategy is chosen for edge (u,v) when
 // max(deg u, deg v) >= ProbeSkew * min(deg u, deg v). Below it the
 // two-pointer merge-scan wins — a merge step costs a compare and two
 // advances on cache-resident sorted arrays, while a probe costs a hash and
-// a (possibly colliding) table read, so the probe only pays when it skips
-// at least ~ProbeSkew merge steps per candidate.
+// a (possibly colliding) table read, or under NewSearchKernel a binary
+// search of the larger endpoint's list, so the probe only pays when it
+// skips at least ~ProbeSkew merge steps per candidate. A merge runs only
+// while the larger degree is under ProbeSkew times the smaller, so it too
+// costs O(min(deg u, deg v)) steps per edge.
 const ProbeSkew = 8
 
-// Kernel is the adaptive per-edge triangle enumerator of the PKT peeling
-// core: for each frontier edge it lists the surviving triangles through
-// that edge, choosing per edge between a merge-scan of the two endpoint
-// adjacency lists and a hash probe of the closing edge through the
+// Kernel is the adaptive per-edge triangle enumerator, and the one path
+// by which every engine lists the triangles of one edge at a time: the PKT
+// peel (full and restricted to a region), Algorithm 2's serial peel, the
+// threshold Peeler of the external engines, incremental maintenance and
+// index patching. For each edge it chooses between a merge-scan of the two
+// endpoint adjacency lists and a probe of the closing edge through the
 // lower-degree endpoint (the strategy mix Kabir & Madduri's PKT uses;
-// degree skew decides which).
+// degree skew decides which). Only Algorithm 1 calls the merge directly,
+// through ForEachMerge.
 //
 // The closing-edge lookups of NewKernel go through an open-addressing hash
 // table over all m edges built once per decomposition — O(1) per probe
 // instead of the O(log deg) binary search of Graph.EdgeID, which is the
 // difference that makes hub-heavy graphs cheap to peel. NewSearchKernel
 // skips the table and binary-searches, for runs that enumerate too few
-// edges to pay for it.
+// edges to pay for it or must not hold an m-sized table.
 //
 // The kernel is immutable after construction and safe for concurrent use;
 // the dispatch counters are atomic.
@@ -117,9 +123,14 @@ func (k *Kernel) Dispatches() (merges, probes int64) {
 	return k.merges.Load(), k.probes.Load()
 }
 
+// NoneDead is the dead filter of callers without a dead set: every edge
+// is live.
+func NoneDead(int32) bool { return false }
+
 // ForEachLive enumerates every triangle (u,v,w) of edge (u,v) whose two
-// partner edges both satisfy !dead, invoking fn with their IDs (u-side
-// first). dead must be safe to call concurrently and stable for edges it
+// partner edges both satisfy !dead, invoking fn with their IDs, the
+// lower-degree endpoint's first, in increasing order of w under either
+// strategy. dead must be safe to call concurrently and stable for edges it
 // has reported dead (the PKT sub-round guarantee: deaths commit only at
 // barriers).
 func (k *Kernel) ForEachLive(u, v uint32, dead func(int32) bool, fn func(euw, evw int32)) {
@@ -134,10 +145,10 @@ func (k *Kernel) ForEachLive(u, v uint32, dead func(int32) bool, fn func(euw, ev
 		return
 	}
 	k.merges.Add(1)
-	k.forEachLiveMerge(u, v, dead, fn)
+	ForEachMerge(k.g, u, v, dead, fn)
 }
 
-// forEachLiveProbe iterates the lower-degree endpoint's adjacency and hash
+// forEachLiveProbe iterates the lower-degree endpoint's adjacency and
 // probes the closing edge: O(min(du,dv)) probes, immune to the other
 // endpoint's degree.
 func (k *Kernel) forEachLiveProbe(u, v uint32, dead func(int32) bool, fn func(euw, evw int32)) {
@@ -159,12 +170,15 @@ func (k *Kernel) forEachLiveProbe(u, v uint32, dead func(int32) bool, fn func(eu
 	}
 }
 
-// forEachLiveMerge two-pointer merges both sorted adjacency lists:
-// O(du+dv) with no hashing at all, the cheaper plan when degrees are
-// comparable.
-func (k *Kernel) forEachLiveMerge(u, v uint32, dead func(int32) bool, fn func(euw, evw int32)) {
-	un, ue := k.g.Neighbors(u), k.g.IncidentEdges(u)
-	vn, ve := k.g.Neighbors(v), k.g.IncidentEdges(v)
+// ForEachMerge enumerates the triangles (u,v,w) of edge (u,v) whose two
+// partner edges both satisfy !dead by a two-pointer merge of both sorted
+// adjacency lists, invoking fn with the partner IDs, u's first. It costs
+// O(deg u + deg v) however few triangles survive and looks nothing up:
+// the kernel's plan when degrees are comparable, and Step 5 of the paper's
+// Algorithm 1 as published.
+func ForEachMerge(g *graph.Graph, u, v uint32, dead func(int32) bool, fn func(euw, evw int32)) {
+	un, ue := g.Neighbors(u), g.IncidentEdges(u)
+	vn, ve := g.Neighbors(v), g.IncidentEdges(v)
 	i, j := 0, 0
 	for i < len(un) && j < len(vn) {
 		switch {

@@ -2,10 +2,11 @@ package triangle
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -89,7 +90,7 @@ func TestKernelStrategiesEquivalent(t *testing.T) {
 	for _, dead := range []func(int32) bool{noDead, someDead} {
 		for id, e := range g.Edges() {
 			merge := liveSet(func(d func(int32) bool, fn func(a, b int32)) {
-				k.forEachLiveMerge(e.U, e.V, d, fn)
+				ForEachMerge(g, e.U, e.V, d, fn)
 			}, dead)
 			probe := liveSet(func(d func(int32) bool, fn func(a, b int32)) {
 				k.forEachLiveProbe(e.U, e.V, d, fn)
@@ -161,9 +162,45 @@ func TestKernelDispatchBoundary(t *testing.T) {
 	}
 }
 
-// TestKernelAgainstForEachOf checks the adaptive path end to end against
-// the established per-edge enumerator on random graphs.
-func TestKernelAgainstForEachOf(t *testing.T) {
+// livePartners lists, per edge, the partner pairs of its triangles whose
+// partners are both live, from the whole-graph ForEach: the independent
+// reference every per-edge lister must reproduce. Pairs are ordered
+// (smaller ID first) so they compare as a multiset.
+func livePartners(g *graph.Graph, dead func(int32) bool) []map[[2]int32]int {
+	want := make([]map[[2]int32]int, g.NumEdges())
+	for id := range want {
+		want[id] = map[[2]int32]int{}
+	}
+	add := func(e, a, b int32) {
+		if dead(a) || dead(b) {
+			return
+		}
+		want[e][[2]int32{min(a, b), max(a, b)}]++
+	}
+	ForEach(g, func(e1, e2, e3 int32) {
+		add(e1, e2, e3)
+		add(e2, e1, e3)
+		add(e3, e1, e2)
+	})
+	return want
+}
+
+// checkLister compares one per-edge lister against livePartners for every
+// edge of g.
+func checkLister(t *testing.T, name string, g *graph.Graph, want []map[[2]int32]int, list func(u, v uint32, fn func(a, b int32))) {
+	t.Helper()
+	for id, e := range g.Edges() {
+		got := map[[2]int32]int{}
+		list(e.U, e.V, func(a, b int32) { got[[2]int32{min(a, b), max(a, b)}]++ })
+		if !maps.Equal(got, want[id]) {
+			t.Fatalf("%s: edge %d %v lists %v, whole-graph ForEach %v", name, id, e, got, want[id])
+		}
+	}
+}
+
+// TestKernelAgainstForEach checks the adaptive path end to end against
+// the whole-graph enumerator on random graphs.
+func TestKernelAgainstForEach(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 10; trial++ {
 		n := 20 + r.Intn(80)
@@ -173,31 +210,69 @@ func TestKernelAgainstForEachOf(t *testing.T) {
 		}
 		g := graph.FromEdges(edges)
 		k := NewKernel(g)
-		none := func(int32) bool { return false }
-		for _, e := range g.Edges() {
-			var want, got []string
-			ForEachOf(g, e.U, e.V, func(a, b int32) {
-				if a > b {
-					a, b = b, a
-				}
-				want = append(want, fmt.Sprintf("%d-%d", a, b))
-			})
-			k.ForEachLive(e.U, e.V, none, func(a, b int32) {
-				if a > b {
-					a, b = b, a
-				}
-				got = append(got, fmt.Sprintf("%d-%d", a, b))
-			})
-			sort.Strings(want)
-			sort.Strings(got)
-			if len(want) != len(got) {
-				t.Fatalf("trial %d edge %v: %d vs %d triangles", trial, e, len(want), len(got))
+		checkLister(t, fmt.Sprintf("trial %d", trial), g, livePartners(g, NoneDead), func(u, v uint32, fn func(a, b int32)) {
+			k.ForEachLive(u, v, NoneDead, fn)
+		})
+	}
+}
+
+// FuzzKernel holds every per-edge lister — the hashed and the searching
+// kernel, and the merge on its own — to the whole-graph ForEach. The input
+// decodes as (u, v, flags) byte triples: edge (u,v), dead when flags&1 is
+// set in any of its triples. Byte-sized vertex IDs keep graphs small and
+// let hubs pass ProbeSkew.
+func FuzzKernel(f *testing.F) {
+	seed := func(edges []graph.Edge, deadEvery int) []byte {
+		var data []byte
+		for i, e := range edges {
+			flags := byte(0)
+			if deadEvery > 0 && i%deadEvery == 0 {
+				flags = 1
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("trial %d edge %v: triangle %s vs %s", trial, e, want[i], got[i])
-				}
+			data = append(data, byte(e.U), byte(e.V), flags)
+		}
+		return data
+	}
+	// K4.
+	f.Add(seed(clique(4).Edges(), 0))
+	// A 5-clique whose vertex 0 also holds 40 leaves: degree 44 against 4
+	// crosses ProbeSkew, so the hub's clique edges take the probe path.
+	hub := clique(5).Edges()
+	for v := uint32(5); v < 45; v++ {
+		hub = append(hub, graph.Edge{U: 0, V: v})
+	}
+	f.Add(seed(hub, 3))
+	// The paper's running example (Figure 2).
+	f.Add(seed(gen.PaperExample().Edges(), 4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var edges []graph.Edge
+		deadKey := map[uint64]bool{}
+		for i := 0; i+2 < len(data); i += 3 {
+			e := graph.Edge{U: uint32(data[i]), V: uint32(data[i+1])}
+			if e.U > e.V {
+				e.U, e.V = e.V, e.U
+			}
+			edges = append(edges, e)
+			if data[i+2]&1 == 1 {
+				deadKey[e.Key()] = true
 			}
 		}
-	}
+		g := graph.FromEdges(edges)
+		deadID := make([]bool, g.NumEdges())
+		for id, e := range g.Edges() {
+			deadID[id] = deadKey[e.Key()]
+		}
+		dead := func(e int32) bool { return deadID[e] }
+		want := livePartners(g, dead)
+		hashed, search := NewKernel(g), NewSearchKernel(g)
+		checkLister(t, "NewKernel", g, want, func(u, v uint32, fn func(a, b int32)) {
+			hashed.ForEachLive(u, v, dead, fn)
+		})
+		checkLister(t, "NewSearchKernel", g, want, func(u, v uint32, fn func(a, b int32)) {
+			search.ForEachLive(u, v, dead, fn)
+		})
+		checkLister(t, "ForEachMerge", g, want, func(u, v uint32, fn func(a, b int32)) {
+			ForEachMerge(g, u, v, dead, fn)
+		})
+	})
 }

@@ -1,21 +1,22 @@
 // Package triangle implements triangle counting and listing, the
 // initialization step of every truss-decomposition algorithm in the paper
 // (Step 2 of Algorithm 2 cites the in-memory triangle counting algorithms of
-// Schank [27] and Latapy [20]).
+// Schank [27] and Latapy [20]), and the per-edge listing every peel runs.
 //
-// The main entry point, Supports, computes sup(e) for every edge in
+// The whole-graph entry point, Supports, computes sup(e) for every edge in
 // O(m^1.5) time using the oriented "compact forward" technique: edges are
 // directed from lower to higher *rank* (degree order, ties by ID), and for
 // each directed edge (u->v) the sorted out-neighbor lists of u and v are
 // intersected. Every triangle is discovered exactly once, at its lowest-rank
 // vertex.
+//
+// Kernel lists the triangles of one edge at a time, the step a peel repeats
+// for every edge it removes; every engine and serving path goes through its
+// ForEachLive. ForEachMerge is the kernel's merge plan on its own, which
+// Algorithm 1 runs as published.
 package triangle
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Supports returns sup(e) for every edge of g, indexed by edge ID.
 func Supports(g *graph.Graph) []int32 {
@@ -82,86 +83,17 @@ func forEachOrientedRange(o *graph.Oriented, lo, hi int32, fn func(e1, e2, e3 in
 	}
 }
 
-// Ranks returns a total order on vertices: rank[v] < rank[w] iff
-// (deg(v), v) < (deg(w), w). Orienting edges by increasing rank bounds each
-// out-degree by O(sqrt(m)), which gives the O(m^1.5) triangle bound.
-func Ranks(g *graph.Graph) []int32 {
-	n := g.NumVertices()
-	order := make([]uint32, n)
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
-	rank := make([]int32, n)
-	for r, v := range order {
-		rank[v] = int32(r)
-	}
-	return rank
-}
-
-// SupportsNaive computes sup(e) by intersecting full neighbor lists for
-// every edge. It is O(sum over edges of deg(u)+deg(v)) and serves as the
-// reference implementation for tests, and as the support-initialization step
-// of the baseline Algorithm 1.
+// SupportsNaive computes sup(e) by merging both endpoints' full neighbor
+// lists for every edge (ForEachMerge). It is O(sum over edges of
+// deg(u)+deg(v)) and serves as the reference implementation for tests, and
+// as the support-initialization step (Steps 2-3) of the baseline
+// Algorithm 1.
 func SupportsNaive(g *graph.Graph) []int32 {
 	sup := make([]int32, g.NumEdges())
 	for id, e := range g.Edges() {
-		sup[id] = int32(CommonNeighbors(g, e.U, e.V, nil))
+		ForEachMerge(g, e.U, e.V, NoneDead, func(_, _ int32) { sup[id]++ })
 	}
 	return sup
-}
-
-// CommonNeighbors merges the sorted adjacency lists of u and v, returning
-// the number of common neighbors; if visit is non-nil it is invoked for each
-// common neighbor w.
-func CommonNeighbors(g *graph.Graph, u, v uint32, visit func(w uint32)) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			if visit != nil {
-				visit(a[i])
-			}
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-// ForEachOf enumerates every triangle through edge (u,v), passing the two
-// partner edge IDs (in no particular side order). It iterates the
-// lower-degree endpoint's adjacency and probes the closing edge, so one
-// call costs O(min(deg u, deg v) * log max(deg u, deg v)) — the per-edge
-// counterpart of the whole-graph ForEach, used by the incremental
-// maintenance and index-patching paths that only need triangles around a
-// small set of edges.
-func ForEachOf(g *graph.Graph, u, v uint32, fn func(euw, evw int32)) {
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	nbrs := g.Neighbors(u)
-	eids := g.IncidentEdges(u)
-	for i, w := range nbrs {
-		if w == v {
-			continue
-		}
-		if evw, ok := g.EdgeID(v, w); ok {
-			fn(eids[i], evw)
-		}
-	}
 }
 
 // LocalCounts returns, for each vertex, the number of triangles through it.

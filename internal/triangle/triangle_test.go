@@ -144,39 +144,17 @@ func TestSupportSumIsThreeTriangles(t *testing.T) {
 	}
 }
 
-func TestRanksPermutation(t *testing.T) {
+func TestForEachMergeVisit(t *testing.T) {
 	g := clique(4)
-	rank := Ranks(g)
-	seen := make([]bool, len(rank))
-	for _, r := range rank {
-		if r < 0 || int(r) >= len(rank) || seen[r] {
-			t.Fatalf("ranks not a permutation: %v", rank)
+	var pairs [][2]int32
+	ForEachMerge(g, 0, 1, NoneDead, func(a, b int32) { pairs = append(pairs, [2]int32{a, b}) })
+	if len(pairs) != 2 {
+		t.Fatalf("triangles of (0,1) in K4 = %d (%v)", len(pairs), pairs)
+	}
+	for _, p := range pairs {
+		if g.Edge(p[0]).U != 0 || g.Edge(p[1]).U != 1 {
+			t.Fatalf("partners %v not u-side first", p)
 		}
-		seen[r] = true
-	}
-}
-
-func TestRanksDegreeOrder(t *testing.T) {
-	// Star plus pendant: center has max degree, so max rank.
-	var edges []graph.Edge
-	for i := 1; i <= 5; i++ {
-		edges = append(edges, graph.Edge{U: 0, V: uint32(i)})
-	}
-	g := graph.FromEdges(edges)
-	rank := Ranks(g)
-	for v := 1; v <= 5; v++ {
-		if rank[0] <= rank[v] {
-			t.Fatalf("center rank %d not above leaf rank %d", rank[0], rank[v])
-		}
-	}
-}
-
-func TestCommonNeighborsVisit(t *testing.T) {
-	g := clique(4)
-	var ws []uint32
-	c := CommonNeighbors(g, 0, 1, func(w uint32) { ws = append(ws, w) })
-	if c != 2 || len(ws) != 2 {
-		t.Fatalf("common neighbors of (0,1) in K4 = %d (%v)", c, ws)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	truss "repro"
+	"repro/internal/embu"
 	"repro/internal/gen"
 )
 
@@ -303,6 +304,31 @@ func TestRunProgressStages(t *testing.T) {
 	}
 	if !sawLevel {
 		t.Fatalf("no level events in %v", stages)
+	}
+}
+
+// TestRunDefaultPartitionIsSequential pins the external engines' default
+// partition strategy: a bottom-up run without WithPartition partitions as
+// PartitionSequential does, not as PartitionRandomized.
+func TestRunDefaultPartitionIsSequential(t *testing.T) {
+	g := gen.WithPlantedCliques(gen.RMAT(10, 6, 0.57, 0.19, 0.19, 5), []int{20}, 5)
+	trace := func(opts ...truss.Option) embu.Trace {
+		opts = append(opts, truss.WithEngine(truss.EngineBottomUp),
+			truss.WithBudget(int64(g.NumEdges())/2), truss.WithSeed(5), truss.WithTempDir(t.TempDir()))
+		d, err := truss.Run(context.Background(), truss.FromGraph(g), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		res, _ := truss.AsBottomUp(d)
+		return res.Trace
+	}
+	def := trace()
+	if seq := trace(truss.WithPartition(truss.PartitionSequential)); def != seq {
+		t.Fatalf("default trace %+v, sequential %+v", def, seq)
+	}
+	if rnd := trace(truss.WithPartition(truss.PartitionRandomized)); def == rnd {
+		t.Fatalf("default trace %+v equals the randomized one", def)
 	}
 }
 
